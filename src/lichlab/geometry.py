@@ -2,7 +2,10 @@
 
 Three background geometries are supported:
 
-* ``Torus``     -- flat periodic box T^n, spectral (FFT) differentiation,
+* ``Torus``     -- flat periodic box T^n, spectral differentiation through
+                   half-spectrum real transforms (``Torus.rfft``/``irfft``,
+                   batched over field components) and cached half-spectrum
+                   symbols (``Torus.k2``, ``Torus.k_odd``),
 * ``SphereRadial`` -- radial reduction of the round S^3, 1-D finite differences,
 * ``Chart``     -- non-periodic Euclidean box, n-D finite differences
                    (used by the chart-based diagnostics).
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 
 __all__ = [
@@ -173,31 +177,45 @@ class Torus:
         return out
 
     @cached_property
-    def wavenumbers(self):
-        """Array (n, N, ..., N) of the spectral wavevector components."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
-        ks = np.meshgrid(*([k1] * self.dimension), indexing="ij")
-        return np.stack(ks)
+    def _axes(self):
+        return tuple(range(-self.dimension, 0))
+
+    def rfft(self, values):
+        """Half-spectrum real transform over the last n axes.
+
+        Leading axes, if any, are field components and are transformed as
+        one batch.  The spectrum has shape (..., N, ..., N, N // 2 + 1).
+        """
+        return scipy.fft.rfftn(values, axes=self._axes)
+
+    def irfft(self, coeffs):
+        """Inverse of ``rfft``: real nodal values from a half spectrum."""
+        return scipy.fft.irfftn(coeffs, s=self.grid_shape, axes=self._axes)
+
+    def _half_wavevectors(self, odd):
+        k_full = 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
+        k_half = 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
+        if odd and self.resolution % 2 == 0:
+            k_full[self.resolution // 2] = 0.0
+            k_half[-1] = 0.0
+        axes = [k_full] * (self.dimension - 1) + [k_half]
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
-    def wavenumbers_odd(self):
-        """Wavevectors with the Nyquist plane zeroed.
+    def k_odd(self):
+        """Half-spectrum wavevectors (n, N, ..., N // 2 + 1), Nyquist zeroed.
 
         Odd-order spectral multipliers (single derivatives, the k k^T part
         of the Lame symbol) must vanish at the unpaired Nyquist mode to
         stay conjugate-symmetric on real fields; even multipliers like
         |k|^2 are unaffected.
         """
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
-        if self.resolution % 2 == 0:
-            k1 = k1.copy()
-            k1[self.resolution // 2] = 0.0
-        ks = np.meshgrid(*([k1] * self.dimension), indexing="ij")
-        return np.stack(ks)
+        return self._half_wavevectors(odd=True)
 
     @cached_property
-    def k_squared(self):
-        return np.sum(self.wavenumbers ** 2, axis=0)
+    def k2(self):
+        """Half-spectrum symbol |k|^2 of the Laplacian, Nyquist included."""
+        return np.sum(self._half_wavevectors(odd=False) ** 2, axis=0)
 
     def integrate(self, values):
         return np.sum(values) * self.spacing ** self.dimension
@@ -252,7 +270,7 @@ class SphereRadial:
 
     def integrate(self, values):
         """Integral over S^3 of a radial function, 4 pi sin^2(r) weight."""
-        return 4.0 * np.pi * np.trapz(values * np.sin(self.r) ** 2, self.r)
+        return 4.0 * np.pi * np.trapezoid(values * np.sin(self.r) ** 2, self.r)
 
     def scalar_curvature(self):
         return 6.0
@@ -421,17 +439,6 @@ def tensor_trace(T):
 # differentiation back ends
 # ---------------------------------------------------------------------------
 
-def _spectral_partial(g, values, axis):
-    vhat = np.fft.fftn(values)
-    shape = [1] * g.dimension
-    shape[axis] = g.resolution
-    k1 = 2.0 * np.pi * np.fft.fftfreq(g.resolution, d=g.spacing)
-    if g.resolution % 2 == 0:
-        k1 = k1.copy()
-        k1[g.resolution // 2] = 0.0    # unpaired Nyquist mode
-    return np.real(np.fft.ifftn(1j * k1.reshape(shape) * vhat))
-
-
 def _fd_partial(g, values, axis, deriv=1):
     mat = g.d1 if deriv == 1 else g.d2
     moved = np.moveaxis(values, axis, 0)
@@ -443,7 +450,7 @@ def _fd_partial(g, values, axis, deriv=1):
 def partial_deriv(g, values, axis):
     """First partial derivative along an axis, spectral or FD by geometry."""
     if g.kind == "Torus":
-        return _spectral_partial(g, values, axis)
+        return g.irfft(1j * g.k_odd[axis] * g.rfft(values))
     if g.kind == "Chart":
         return _fd_partial(g, values, axis, 1)
     raise GeometryMismatch("partial_deriv needs a torus or chart geometry")
@@ -457,8 +464,7 @@ def laplace_beltrami(f, g=None):
     """Laplace-Beltrami of a scalar, nonnegative sign convention."""
     g = _check_geometry(f, g)
     if g.kind == "Torus":
-        fhat = np.fft.fftn(f.values)
-        return ScalarField(g, np.real(np.fft.ifftn(g.k_squared * fhat)))
+        return ScalarField(g, g.irfft(g.k2 * g.rfft(f.values)))
     if g.kind == "SphereRadial":
         vals = -(g.d2 @ f.values) - 2.0 * g.cot_r * (g.d1 @ f.values)
         return ScalarField(g, vals)
@@ -475,6 +481,8 @@ def gradient(f, g=None):
     g = _check_geometry(f, g)
     if g.kind == "SphereRadial":
         return OneFormField(g, g.d1 @ f.values)
+    if g.kind == "Torus":
+        return OneFormField(g, g.irfft(1j * g.k_odd * g.rfft(f.values)))
     comps = [partial_deriv(g, f.values, a) for a in range(g.dimension)]
     return OneFormField(g, np.stack(comps))
 
@@ -484,6 +492,9 @@ def divergence(W, g=None):
     g = _check_geometry(W, g)
     if g.kind == "SphereRadial":
         return ScalarField(g, (g.d1 @ W.values) + 2.0 * g.cot_r * W.values)
+    if g.kind == "Torus":
+        what = g.rfft(W.values)
+        return ScalarField(g, g.irfft(1j * np.einsum("a...,a...->...", g.k_odd, what)))
     out = np.zeros(g.grid_shape)
     for a in range(g.dimension):
         out += partial_deriv(g, W.values[a], a)
@@ -503,10 +514,14 @@ def conformal_killing_deriv(W, g=None):
         vals[3] = -(2.0 / 3.0) * psi
         vals[5] = -(2.0 / 3.0) * psi
         return SymTensorField(g, vals)
-    dW = np.stack([
-        np.stack([partial_deriv(g, W.values[j], i) for j in range(n)])
-        for i in range(n)
-    ])  # dW[i, j] = d_i W_j
+    if g.kind == "Torus":
+        # in the half spectrum: one batched transform each way
+        dW = 1j * g.k_odd[:, None] * g.rfft(W.values)[None]
+    else:
+        dW = np.stack([
+            np.stack([partial_deriv(g, W.values[j], i) for j in range(n)])
+            for i in range(n)
+        ])  # dW[i, j] = d_i W_j
     div = np.trace(dW, axis1=0, axis2=1)
     comps = []
     for i, j in sym_index(n):
@@ -514,7 +529,8 @@ def conformal_killing_deriv(W, g=None):
         if i == j:
             c = c - (2.0 / n) * div
         comps.append(c)
-    return SymTensorField(g, np.stack(comps))
+    comps = np.stack(comps)
+    return SymTensorField(g, g.irfft(comps) if g.kind == "Torus" else comps)
 
 
 def lame(W, g=None):
@@ -522,11 +538,11 @@ def lame(W, g=None):
     g = _check_geometry(W, g)
     n = g.dimension
     if g.kind == "Torus":
-        what = np.fft.fftn(W.values, axes=tuple(range(1, n + 1)))
-        k = g.wavenumbers_odd
+        what = g.rfft(W.values)
+        k = g.k_odd
         kdotw = np.einsum("a...,a...->...", k, what)
-        out = g.k_squared * what + (1.0 - 2.0 / n) * k * kdotw
-        return OneFormField(g, np.real(np.fft.ifftn(out, axes=tuple(range(1, n + 1)))))
+        out = g.k2 * what + (1.0 - 2.0 / n) * k * kdotw
+        return OneFormField(g, g.irfft(out))
     if g.kind == "SphereRadial":
         w = W.values
         vals = -(4.0 / 3.0) * ((g.d2 @ w) + 2.0 * g.cot_r * (g.d1 @ w)
@@ -554,10 +570,9 @@ def lame_invert(F, g=None):
     if g.kind != "Torus":
         raise GeometryMismatch("lame_invert requires a torus geometry")
     n = g.dimension
-    axes = tuple(range(1, n + 1))
-    fhat = np.fft.fftn(F.values, axes=axes)
-    k = g.wavenumbers_odd
-    k2 = g.k_squared.copy()
+    fhat = g.rfft(F.values)
+    k = g.k_odd
+    k2 = g.k2.copy()
     zero = k2 == 0.0
     k2[zero] = 1.0
     # Sherman-Morrison inverse of the mode symbol |k|^2 I + beta k k^T
@@ -570,7 +585,7 @@ def lame_invert(F, g=None):
     what[(slice(None),) + tuple(np.nonzero(zero))] = 0.0
     mean_f = np.array([np.mean(F.values[a]) for a in range(n)])
     defect = float(np.linalg.norm(mean_f) * np.sqrt(g.volume))
-    W = OneFormField(g, np.real(np.fft.ifftn(what, axes=axes)))
+    W = OneFormField(g, g.irfft(what))
     return W, defect
 
 
@@ -583,7 +598,7 @@ def l2_inner(g, a, b):
     if g.kind == "Torus":
         return float(np.sum(a * b) * g.spacing ** g.dimension)
     if g.kind == "SphereRadial":
-        return float(4.0 * np.pi * np.trapz(np.sum(
+        return float(4.0 * np.pi * np.trapezoid(np.sum(
             (a * b).reshape(-1, g.resolution), axis=0) * np.sin(g.r) ** 2, g.r))
     raise GeometryMismatch("l2_inner supports torus and sphere grids")
 
@@ -597,9 +612,5 @@ def h1_norm_squared(W):
     g = W.geometry
     if g.kind != "Torus":
         raise GeometryMismatch("h1_norm_squared requires a torus geometry")
-    total = l2_inner(g, W.values, W.values)
-    for a in range(g.dimension):
-        for j in range(g.dimension):
-            d = partial_deriv(g, W.values[j], a)
-            total += l2_inner(g, d, d)
-    return total
+    dW = g.irfft(1j * g.k_odd[:, None] * g.rfft(W.values)[None])
+    return l2_inner(g, W.values, W.values) + l2_inner(g, dW, dW)

@@ -46,6 +46,7 @@ from .geometry import (
     lame,
     partial_deriv,
     sym_index,
+    sym_weights,
     tensor_norm_squared,
 )
 from .solver import SolveOptions, solve_system
@@ -364,11 +365,11 @@ def _perturbed_data(cfg, eps):
 
 
 def _c1_distance(g, u1, u0):
+    """C^1 distance sup|d| + max_a sup|d_a d| of d = u1 - u0."""
     d = u1 - u0
-    best = float(np.max(np.abs(d)))
-    for a in range(g.dimension):
-        best = max(best, float(np.max(np.abs(partial_deriv(g, d, a)))))
-    return float(np.max(np.abs(d))) + best
+    slope = max(float(np.max(np.abs(partial_deriv(g, d, a))))
+                for a in range(g.dimension))
+    return float(np.max(np.abs(d))) + slope
 
 
 def run_sweep(cfg: SweepConfig):
@@ -491,7 +492,7 @@ def _suite_energy_identity():
     g = Torus(3, 16)
     rng = np.random.default_rng(41)
     worst = 0.0
-    weights = np.array([1, 2, 2, 1, 2, 1], dtype=float)
+    weights = sym_weights(3)
     for _ in range(20):
         what = np.zeros((3,) + g.grid_shape, dtype=complex)
         freqs = np.fft.fftfreq(16, d=1.0 / 16).astype(int)

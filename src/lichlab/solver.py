@@ -235,20 +235,22 @@ def solve_scalar(W, C, opts: SolveOptions):
             return ScalarField(g, u)
         diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
                 + (p + 1.0) * a * u ** (-p - 2.0))
-        shift = max(float(np.mean(diag)), 1e-8)
+        inv_symbol = 1.0 / (g.k2 + max(float(np.mean(diag)), 1e-8))
 
         def matvec(x):
             return _newton_apply(g, diag, x.reshape(shape)).ravel()
 
         def precond(x):
-            xhat = np.fft.fftn(x.reshape(shape))
-            out = xhat / (g.k_squared + shift)
-            return np.real(np.fft.ifftn(out)).ravel()
+            return g.irfft(inv_symbol * g.rfft(x.reshape(shape))).ravel()
 
         op = spla.LinearOperator((size, size), matvec=matvec)
         M = spla.LinearOperator((size, size), matvec=precond)
         delta, info = spla.minres(op, -res.ravel(), M=M,
                                   rtol=opts.linear_tol, maxiter=400)
+        if info != 0:
+            raise NewtonDivergedError(
+                f"MINRES failed on the Newton system (info {info}) at "
+                f"residual {res_norm:.3e}")
         delta = delta.reshape(shape)
 
         t = 1.0
@@ -256,8 +258,13 @@ def solve_scalar(W, C, opts: SolveOptions):
             trial = u + t * delta
             if np.min(trial) > opts.u_floor:
                 trial_res = residual(trial)
-                if np.max(np.abs(trial_res)) <= res_norm * (1.0 + 1e-8) or t < 1e-6:
+                if np.max(np.abs(trial_res)) <= res_norm * (1.0 + 1e-8):
                     break
+                if t < 1e-6:
+                    error = DegenerateDataError if degenerate else NewtonDivergedError
+                    raise error(
+                        "line search found no step that reduces the residual "
+                        f"{res_norm:.3e} (Newton step {it})")
             t *= 0.5
         else:
             if degenerate:

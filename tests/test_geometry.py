@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lichlab.geometry import (
     Chart,
@@ -10,11 +11,16 @@ from lichlab.geometry import (
     Torus,
     GeometryMismatch,
     conformal_killing_deriv,
+    divergence,
+    gradient,
     h1_norm_squared,
     l2_inner,
+    l2_norm,
     lame,
     lame_invert,
     laplace_beltrami,
+    partial_deriv,
+    sym_index,
     tensor_norm_squared,
     tensor_trace,
 )
@@ -236,3 +242,171 @@ class TestFieldInvariants:
         full = 0.5 * (full + np.swapaxes(full, 0, 1))
         T = SymTensorField.from_full(g, full)
         assert np.allclose(T.full(), full)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum backend against full complex-FFT reference formulas
+# ---------------------------------------------------------------------------
+
+def ref_wavevectors(g, odd):
+    """Full-spectrum wavevectors; odd=True zeroes the unpaired Nyquist mode."""
+    k1 = 2.0 * np.pi * np.fft.fftfreq(g.resolution, d=g.spacing)
+    if odd and g.resolution % 2 == 0:
+        k1[g.resolution // 2] = 0.0
+    return np.stack(np.meshgrid(*([k1] * g.dimension), indexing="ij"))
+
+
+def ref_multiply(g, symbol, values):
+    """Re ifftn(symbol * fftn(values)) over the grid axes."""
+    axes = tuple(range(-g.dimension, 0))
+    return np.real(np.fft.ifftn(symbol * np.fft.fftn(values, axes=axes), axes=axes))
+
+
+def ref_partials(g, values):
+    """d[a, ...] = d_a values, by full complex transforms."""
+    k = ref_wavevectors(g, odd=True)
+    return np.stack([ref_multiply(g, 1j * k[a], values) for a in range(g.dimension)])
+
+
+def ref_lame_symbol(g):
+    """Per-mode Lame symbol |k|^2 I + (1 - 2/n) k k^T, shape (*grid, n, n)."""
+    n = g.dimension
+    k = np.moveaxis(ref_wavevectors(g, odd=True), 0, -1)
+    k2 = np.sum(ref_wavevectors(g, odd=False) ** 2, axis=0)
+    return (k2[..., None, None] * np.eye(n)
+            + (1.0 - 2.0 / n) * k[..., :, None] * k[..., None, :])
+
+
+def bandlimited_values(g, rng, lead, kmax):
+    """Real field of shape lead + grid with modes |k|_inf <= kmax only."""
+    N = g.resolution
+    axes = tuple(range(-g.dimension, 0))
+    spec = np.fft.fftn(rng.normal(size=lead + g.grid_shape), axes=axes)
+    freqs = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+    keep = np.ones(g.grid_shape, dtype=bool)
+    for a in range(g.dimension):
+        shape = [1] * g.dimension
+        shape[a] = N
+        keep &= freqs.reshape(shape) <= kmax
+    return np.real(np.fft.ifftn(spec * keep, axes=axes))
+
+
+def rel_err(out, ref):
+    return np.max(np.abs(out - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+resolutions = st.sampled_from([8, 9, 12, 15, 16])
+backend_settings = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def torus_draws(draw, below_nyquist=False):
+    """(torus, rng, kmax); kmax reaches the Nyquist mode unless told not to."""
+    N = draw(resolutions)
+    top = (N - 1) // 2 if below_nyquist else N // 2
+    kmax = draw(st.integers(1, top))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return Torus(3, N), np.random.default_rng(seed), kmax
+
+
+class TestHalfSpectrumBackend:
+    @backend_settings
+    @given(torus_draws())
+    def test_scalar_operators_match_reference(self, draw):
+        g, rng, kmax = draw
+        f = bandlimited_values(g, rng, (), kmax)
+        F = ScalarField(g, f)
+        k2 = np.sum(ref_wavevectors(g, odd=False) ** 2, axis=0)
+        d = ref_partials(g, f)
+        assert rel_err(laplace_beltrami(F).values, ref_multiply(g, k2, f)) < 1e-12
+        assert rel_err(gradient(F).values, d) < 1e-12
+        for a in range(3):
+            assert rel_err(partial_deriv(g, f, a), d[a]) < 1e-12
+
+    @backend_settings
+    @given(torus_draws())
+    def test_oneform_operators_match_reference(self, draw):
+        g, rng, kmax = draw
+        w = bandlimited_values(g, rng, (3,), kmax)
+        W = OneFormField(g, w)
+        dW = np.stack([ref_partials(g, w[j]) for j in range(3)], axis=1)
+        div = np.trace(dW)
+        ref_L = np.stack([dW[i, j] + dW[j, i] - (2.0 / 3.0) * div * (i == j)
+                          for i, j in sym_index(3)])
+        assert rel_err(divergence(W).values, div) < 1e-12
+        assert rel_err(conformal_killing_deriv(W).values, ref_L) < 1e-12
+
+        axes = (1, 2, 3)
+        what = np.moveaxis(np.fft.fftn(w, axes=axes), 0, -1)
+        ref_lame = np.real(np.fft.ifftn(np.moveaxis(
+            np.einsum("...ij,...j->...i", ref_lame_symbol(g), what), -1, 0),
+            axes=axes))
+        assert rel_err(lame(W).values, ref_lame) < 1e-12
+
+        ref_h1 = l2_inner(g, w, w) + l2_inner(g, dW, dW)
+        assert abs(h1_norm_squared(W) - ref_h1) < 1e-12 * ref_h1
+
+    @backend_settings
+    @given(torus_draws())
+    def test_lame_invert_matches_reference(self, draw):
+        g, rng, kmax = draw
+        f = bandlimited_values(g, rng, (3,), kmax)
+        axes = (1, 2, 3)
+        fhat = np.moveaxis(np.fft.fftn(f, axes=axes), 0, -1)
+        fhat[(0,) * 3] = 0.0
+        sym = ref_lame_symbol(g)
+        sym[(0,) * 3] = np.eye(3)
+        what = np.linalg.solve(sym, fhat[..., None])[..., 0]
+        ref = np.real(np.fft.ifftn(np.moveaxis(what, -1, 0), axes=axes))
+        W, _ = lame_invert(OneFormField(g, f))
+        assert rel_err(W.values, ref) < 1e-12
+
+    @backend_settings
+    @given(torus_draws())
+    def test_lame_of_lame_invert_is_mean_free_part(self, draw):
+        g, rng, kmax = draw
+        F = OneFormField(g, bandlimited_values(g, rng, (3,), kmax)
+                         + rng.normal(size=(3, 1, 1, 1)))
+        W, defect = lame_invert(F)
+        mean = np.mean(F.values, axis=(1, 2, 3), keepdims=True)
+        assert rel_err(lame(W).values, F.values - mean) < 1e-12
+        assert defect == pytest.approx(
+            np.linalg.norm(mean) * np.sqrt(g.volume), rel=1e-12)
+
+    @backend_settings
+    @given(torus_draws())
+    def test_lame_is_self_adjoint(self, draw):
+        g, rng, kmax = draw
+        V = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
+        W = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
+        lhs = l2_inner(g, lame(V).values, W.values)
+        rhs = l2_inner(g, V.values, lame(W).values)
+        assert abs(lhs - rhs) < 1e-12 * np.sqrt(h1_norm_squared(V) * h1_norm_squared(W))
+
+    @backend_settings
+    @given(torus_draws(below_nyquist=True))
+    def test_energy_identity(self, draw):
+        # with Nyquist content lame keeps |k|^2 where L drops k, so the
+        # identity holds for fields below the Nyquist mode
+        g, rng, kmax = draw
+        W = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
+        LW = conformal_killing_deriv(W)
+        lhs = l2_inner(g, lame(W).values, W.values)
+        rhs = 0.5 * l2_inner(g, LW.values * np.array(
+            [1, 2, 2, 1, 2, 1])[:, None, None, None], LW.values)
+        assert abs(lhs - rhs) < 1e-12 * h1_norm_squared(W)
+
+
+class TestSphereQuadrature:
+    def test_l2_norm_of_one(self):
+        norm = l2_norm(SphereRadial(64), np.ones(64))
+        assert norm == pytest.approx(np.sqrt(2.0 * np.pi ** 2), rel=1e-5)
+
+    def test_volume_tends_to_round_s3(self):
+        # the poles' caps left out have volume (8 pi / 3) eps^3 + O(eps^5)
+        errors = []
+        for eps in (1e-1, 1e-2, 1e-3):
+            vol = SphereRadial(2049, eps).integrate(np.ones(2049))
+            errors.append(abs(vol - 2.0 * np.pi ** 2))
+            assert errors[-1] < 1.1 * (8.0 * np.pi / 3.0) * eps ** 3 + 1e-7
+        assert errors[0] > errors[1] > errors[2]

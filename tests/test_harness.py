@@ -164,6 +164,16 @@ class TestSweep:
         assert np.max(np.abs(dpi)) == pytest.approx(0.5, rel=1e-10)
 
 
+    def test_c1_distance_counts_sup_norm_once(self):
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "sweep_focusing.ini"))
+        g = cfg.geometry
+        d = 0.1 + 0.01 * np.cos(g.coords()[0]) + np.zeros(g.grid_shape)
+        # sup|d| = 0.11 and sup|d_x d| = 0.01
+        assert harness._c1_distance(g, d, np.zeros(g.grid_shape)) == \
+            pytest.approx(0.12, abs=1e-12)
+
+
 class TestInstabilityDemo:
     def test_rows_and_monotonicity(self):
         rows = run_instability_demo((1.5, 1.1), resolution=1024)

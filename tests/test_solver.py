@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import lichlab.solver as solver
+
 from lichlab.conformal import SystemCoefficients, critical_exponent
 from lichlab.geometry import (
     OneFormField,
@@ -13,6 +15,7 @@ from lichlab.geometry import (
 )
 from lichlab.solver import (
     DegenerateDataError,
+    NewtonDivergedError,
     NonCoerciveError,
     SolveOptions,
     constant_balance_root,
@@ -85,6 +88,35 @@ class TestScalar:
         C = make_coeffs(torus16, h=1.0, f=0.0, b=0.0)
         with pytest.raises(DegenerateDataError):
             solve_scalar(OneFormField.zero(torus16), C, SolveOptions())
+
+    def test_krylov_failure_raises(self, torus16, monkeypatch):
+        # a usable step reported with a nonzero info is still a failure
+        minres = solver.spla.minres
+
+        def failing(A, b, **kwargs):
+            return minres(A, b, **kwargs)[0], -1
+
+        monkeypatch.setattr(solver.spla, "minres", failing)
+        with pytest.raises(NewtonDivergedError):
+            solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
+                         SolveOptions(initial_guess=2.0))
+
+    def test_non_descent_step_rejected(self, torus16, monkeypatch):
+        # one ascent direction, then honest Newton steps: no step length
+        # reduces the residual, so the solve must stop there
+        minres = solver.spla.minres
+        calls = []
+
+        def ascent_once(A, b, **kwargs):
+            x, info = minres(A, b, **kwargs)
+            calls.append(1)
+            return (-x if len(calls) == 1 else x), info
+
+        monkeypatch.setattr(solver.spla, "minres", ascent_once)
+        with pytest.raises(NewtonDivergedError):
+            solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
+                         SolveOptions(initial_guess=2.0))
+        assert len(calls) == 1
 
     def test_noncoercive_rejected(self, torus16):
         C = make_coeffs(torus16, h=-1.0)
