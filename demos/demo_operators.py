@@ -17,6 +17,7 @@ from lichlab.geometry import (
     lame,
     lame_invert,
     laplace_beltrami,
+    sym_weights,
     tensor_trace,
 )
 
@@ -40,7 +41,7 @@ print("\nconformal Killing derivative of a two-mode one-form:")
 print("  sup |trace| =", np.max(np.abs(tensor_trace(LW))))
 
 # the energy identity <lame W, W> = (1/2) |L W|^2
-weights = np.array([1, 2, 2, 1, 2, 1], dtype=float)[:, None, None, None]
+weights = sym_weights(3)[:, None, None, None]
 lhs = l2_inner(g, lame(W).values, W.values)
 rhs = 0.5 * l2_inner(g, weights * LW.values, LW.values)
 print("\nenergy identity:")

@@ -145,6 +145,8 @@ class Torus:
             raise ValueError("dimension must be >= 3")
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8 per axis")
+        if not 0.0 < self.period < np.inf:
+            raise ValueError("period must be positive and finite")
 
     @property
     def grid_shape(self):

@@ -121,10 +121,6 @@ def lame_of_columns(y, n, step=None):
 # conformal Killing basis on the ball
 # ---------------------------------------------------------------------------
 
-def _generator_count(n):
-    return (n + 1) * (n + 2) // 2
-
-
 def _eval_generators(n, pts):
     """All (n+1)(n+2)/2 conformal Killing generators at pts (M, n).
 

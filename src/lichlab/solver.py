@@ -108,7 +108,6 @@ class Solution:
     kernel_defect: float
     iterations: int
     converged: bool
-    classification: str = ""
 
 
 def _quadratic_term(W, C):
@@ -120,15 +119,18 @@ def _quadratic_term(W, C):
     return C.b.values + C.gamma * sq
 
 
-def scalar_residual_field(u, W, C):
-    """Pointwise residual of the scalar equation at (u, W)."""
-    n = C.geometry.dimension
-    p = critical_exponent(n)
-    a = _quadratic_term(W, C)
+def _scalar_residual(u, a, C):
+    """Pointwise scalar residual at the field u for a precomputed a(W)."""
+    p = critical_exponent(C.geometry.dimension)
     lap_u = laplace_beltrami(u).values
     return (lap_u + C.h.values * u.values
             - C.f.values * u.values ** (p - 1.0)
             - a * u.values ** (-p - 1.0))
+
+
+def scalar_residual_field(u, W, C):
+    """Pointwise residual of the scalar equation at (u, W)."""
+    return _scalar_residual(u, _quadratic_term(W, C), C)
 
 
 def _momentum_rhs(u, C):
@@ -181,16 +183,17 @@ def _lanczos_smallest_ritz(apply_op, shape, iterations=20):
     return float(np.min(np.linalg.eigvalsh(T)))
 
 
+def _newton_apply(g, diag, v):
+    return laplace_beltrami(ScalarField(g, v)).values + diag * v
+
+
 def check_coercivity(C, mode="strict", iterations=20, threshold=1e-12):
     """Ritz check of lap + h; raises NonCoerciveError on failure."""
     if mode == "off":
         return 0.0
     g = C.geometry
-
-    def apply_op(v):
-        return laplace_beltrami(ScalarField(g, v)).values + C.h.values * v
-
-    ritz = _lanczos_smallest_ritz(apply_op, g.grid_shape, iterations)
+    ritz = _lanczos_smallest_ritz(lambda v: _newton_apply(g, C.h.values, v),
+                                  g.grid_shape, iterations)
     limit = threshold if mode == "strict" else -1e-10
     if ritz <= limit:
         raise NonCoerciveError(
@@ -199,15 +202,11 @@ def check_coercivity(C, mode="strict", iterations=20, threshold=1e-12):
     return ritz
 
 
-def solve_momentum(u, C, opts: Optional[SolveOptions] = None):
+def solve_momentum(u, C):
     """Spectral momentum solve; returns (W, kernel_defect)."""
     g = C.geometry
     rhs = OneFormField(g, _momentum_rhs(u, C))
     return lame_invert(rhs, g)
-
-
-def _newton_apply(g, diag, v):
-    return laplace_beltrami(ScalarField(g, v)).values + diag * v
 
 
 def solve_scalar(W, C, opts: SolveOptions):
@@ -223,12 +222,7 @@ def solve_scalar(W, C, opts: SolveOptions):
     size = u.size
     shape = g.grid_shape
 
-    def residual(uv):
-        lap_u = laplace_beltrami(ScalarField(g, uv)).values
-        return (lap_u + C.h.values * uv - C.f.values * uv ** (p - 1.0)
-                - a * uv ** (-p - 1.0))
-
-    res = residual(u)
+    res = _scalar_residual(ScalarField(g, u), a, C)
     for it in range(opts.max_newton):
         res_norm = np.max(np.abs(res))
         if res_norm < opts.tol_residual:
@@ -257,7 +251,7 @@ def solve_scalar(W, C, opts: SolveOptions):
         for _ in range(60):
             trial = u + t * delta
             if np.min(trial) > opts.u_floor:
-                trial_res = residual(trial)
+                trial_res = _scalar_residual(ScalarField(g, trial), a, C)
                 if np.max(np.abs(trial_res)) <= res_norm * (1.0 + 1e-8):
                     break
                 if t < 1e-6:

@@ -21,6 +21,7 @@ from lichlab.geometry import (
     laplace_beltrami,
     partial_deriv,
     sym_index,
+    sym_weights,
     tensor_norm_squared,
     tensor_trace,
 )
@@ -114,8 +115,8 @@ class TestTorusOperators:
             W = random_bandlimited_oneform(self.g, rng)
             lhs = l2_inner(self.g, lame(W).values, W.values)
             LW = conformal_killing_deriv(W)
-            rhs = 0.5 * l2_inner(self.g, LW.values * np.array(
-                [1, 2, 2, 1, 2, 1])[:, None, None, None], LW.values)
+            rhs = 0.5 * l2_inner(self.g, LW.values * sym_weights(3)[
+                :, None, None, None], LW.values)
             assert abs(lhs - rhs) < 1e-10 * h1_norm_squared(W)
 
     def test_lame_invert_roundtrip(self):
@@ -392,8 +393,8 @@ class TestHalfSpectrumBackend:
         W = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
         LW = conformal_killing_deriv(W)
         lhs = l2_inner(g, lame(W).values, W.values)
-        rhs = 0.5 * l2_inner(g, LW.values * np.array(
-            [1, 2, 2, 1, 2, 1])[:, None, None, None], LW.values)
+        rhs = 0.5 * l2_inner(g, LW.values * sym_weights(3)[
+            :, None, None, None], LW.values)
         assert abs(lhs - rhs) < 1e-12 * h1_norm_squared(W)
 
 

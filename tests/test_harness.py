@@ -4,10 +4,11 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lichlab.harness as harness
 from lichlab.cli import main as cli_main
-from lichlab.geometry import Torus
+from lichlab.geometry import OneFormField, Torus
 from lichlab.harness import (
     SweepConfig,
     load_config,
@@ -208,6 +209,30 @@ class TestVerificationSuite:
         failed = [r for r in rows if not r.passed]
         assert any("constants" in r.name for r in failed)
 
+    def test_whole_suite_passes(self):
+        rows = run_verification_suite()
+        assert [r.name for r in rows if not r.passed] == []
+        assert set(VERIFY_ROW_NAMES) <= {r.name for r in rows}
+
+    def test_lame_fault_fails_energy_identity_at_both_sizes(self,
+                                                            monkeypatch):
+        lame = harness.lame
+        monkeypatch.setattr(harness, "lame", lambda W: OneFormField(
+            W.geometry, 1.01 * lame(W).values))
+        for rows in (run_verification_suite("geometry"),
+                     harness.check_energy_identity(32, draws=50, band=3)):
+            assert [r.passed for r in rows
+                    if r.name == "energy_identity"] == [False]
+
+
+VERIFY_ROW_NAMES = """energy_identity bubble_residual constants_c6
+    constants_k3 constants_quadrature kernel_symmetry kernel_homogeneity
+    kernel_annihilation killing_dimension killing_orthonormality
+    killing_derivative representation_residual representation_halving
+    pohozaev_defect pohozaev_order covariance_order instability_scalar
+    instability_vector instability_cancellation
+    instability_sup_closed_form""".split()
+
 
 class TestOutputs:
     def test_csv_round_trip_floats(self, tmp_path):
@@ -263,3 +288,74 @@ class TestOutputs:
         assert code == 0
         text = (tmp_path / "v.csv").read_text()
         assert "constants_quadrature" in text
+
+
+_RECIPES = ["constant(value={})", "cosine(k={}, offset={})", "sine(amp={})",
+            "lorentz(axis={}, c={})", "quadratic(c2={})", "zero(xy={})",
+            "constant_tensor(xy={}, zz={})", "wavelet(a={})"]
+_ENTRIES = {"kind": ["torus", "sphere"], "dimension": ["3", "4", "2", "x"],
+            "resolution": ["8", "9", "7", "abc"], "period": ["6.28", "0"],
+            "alphas": ["1 2 3", "3 2", "a"], "damping": ["0.7", "2", "x"],
+            "psi": _RECIPES, "tau": _RECIPES, "h": _RECIPES,
+            "sigma": _RECIPES, "potential": _RECIPES}
+_VALUES = ["1", "-1", "0", "1.5", "3", "2:0:0", "0:1", "1:0:0:0:0", "1:",
+           "nan", "inf", "", "abc", "%"]
+
+
+@st.composite
+def _ini_text(draw):
+    """INI text with mostly well-formed entries, so that most draws reach
+    the recipe code.  The grid is allocated on load: it stays small."""
+    lines = []
+    for name in ("geometry", "data", "schedule", "solver"):
+        if draw(st.sampled_from([True, True, True, False])):
+            lines.append(f"[{name}]")
+            for key in draw(st.lists(st.sampled_from(sorted(_ENTRIES)),
+                                     max_size=5, unique=True)):
+                args = draw(st.lists(st.sampled_from(_VALUES), min_size=2,
+                                     max_size=2))
+                value = draw(st.sampled_from(_ENTRIES[key])).format(*args)
+                lines.append(f"{key} = {value}")
+    if draw(st.sampled_from([False, False, False, True])):
+        junk = st.text(st.characters(blacklist_categories=("Cs",)),
+                       max_size=20)
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", [
+        "[geometry]\n", "[data]\n", "resolution = 8\n",
+        "[geometry]\n[data]\n[geometry]\n",
+        "[geometry]\n[data]\npsi = cosine(=1)\n",
+        "[geometry]\n[data]\npsi = constant(value=1:2)\n",
+        "[geometry]\n[data]\npotential = constant(value=nan)\n",
+        "[geometry]\n[data]\npsi = cosine(k=1:0:0:1)\n",
+        "[geometry]\n[data]\npsi = lorentz(axis=3)\n",
+        "[geometry]\nperiod = 0\n[data]\n",
+        "[geometry]\ndimension = 5\nresolution = 8\n"
+        "[data]\nsigma = constant_tensor(xy=1)\n",
+    ])
+    def test_malformed_config_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_worker_count_rejects_non_positive_integers(self, monkeypatch,
+                                                        value):
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+        with pytest.raises(ValueError):
+            harness.worker_count()
+
+    @settings(max_examples=500, deadline=None)
+    @given(_ini_text())
+    def test_ini_text_loads_or_raises_value_error(self, tmp_path_factory,
+                                                    text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_config(str(path))
+        except ValueError:
+            pass
