@@ -112,10 +112,9 @@ def parse_recipe(text):
 def _param(prm, key, default):
     """Recipe parameter key, a number or (if default is a list) a vector."""
     val = prm.get(key, default)
-    if isinstance(default, list):
-        return val if isinstance(val, list) else [val]
-    if isinstance(val, list):
-        raise ValueError(f"recipe parameter {key!r} takes one number")
+    if isinstance(val, list) != isinstance(default, list):
+        kind = "a vector a:b:c" if isinstance(default, list) else "one number"
+        raise ValueError(f"recipe parameter {key!r} takes {kind}")
     return val
 
 

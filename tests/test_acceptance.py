@@ -49,28 +49,27 @@ def _report(num, name, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num}: exceeded {budget} s budget"
 
 
-def _report_rows(num, name, rows, elapsed, budget):
+def _report_rows(num, name, budget, check, *sizes, **named_sizes):
+    """Time one shared check at acceptance size and report its rows."""
+    t0 = time.time()
+    rows = check(*sizes, **named_sizes)
     detail = ", ".join(f"{r.name} {r.measured:.2e} < {r.tolerance:.0e}"
                        for r in rows)
-    _report(num, name, all(r.passed for r in rows), detail, elapsed, budget)
+    _report(num, name, all(r.passed for r in rows), detail,
+            time.time() - t0, budget)
 
 
 def test_criterion_01_lame_energy_identity():
-    t0 = time.time()
-    rows = harness.check_energy_identity(32, draws=50, band=3)
-    _report_rows(1, "Lame energy identity", rows, time.time() - t0, 10.0)
+    _report_rows(1, "Lame energy identity", 10.0,
+                 harness.check_energy_identity, 32, draws=50, band=3)
 
 
 def test_criterion_02_bubble_pde_residual():
-    t0 = time.time()
-    rows = harness.check_bubble_residual()
-    _report_rows(2, "bubble PDE residual", rows, time.time() - t0, 1.0)
+    _report_rows(2, "bubble PDE residual", 1.0, harness.check_bubble_residual)
 
 
 def test_criterion_03_constants_consistency():
-    t0 = time.time()
-    rows = harness.check_constants()
-    _report_rows(3, "constants consistency", rows, time.time() - t0, 1.0)
+    _report_rows(3, "constants consistency", 1.0, harness.check_constants)
 
 
 def test_criterion_04_asymptotics_vs_quadrature():
@@ -100,23 +99,19 @@ def test_criterion_04_asymptotics_vs_quadrature():
 
 
 def test_criterion_05_green_representation():
-    t0 = time.time()
-    rows = harness.check_representation(finest_level=2)
-    _report_rows(5, "Green representation", rows, time.time() - t0, 120.0)
+    _report_rows(5, "Green representation", 120.0,
+                 harness.check_representation, finest_level=2)
 
 
 def test_criterion_06_killing_dimension_and_kernel():
-    t0 = time.time()
-    rows = harness.check_killing(points=40)
-    _report_rows(6, "Killing dimension and kernel", rows, time.time() - t0,
-                 10.0)
+    _report_rows(6, "Killing dimension and kernel", 10.0,
+                 harness.check_killing, points=40)
 
 
 def test_criterion_07_instability_demo():
-    t0 = time.time()
-    rows = harness.check_instability(
-        run_instability_demo((1.5, 1.1, 1.01), resolution=4096))
-    _report_rows(7, "instability demo", rows, time.time() - t0, 30.0)
+    _report_rows(7, "instability demo", 30.0,
+                 lambda: harness.check_instability(run_instability_demo(
+                     (1.5, 1.1, 1.01), resolution=4096)))
 
 
 def test_criterion_08_manufactured_coupled_solve():
@@ -200,6 +195,5 @@ def test_criterion_10_stability_sweep():
 
 
 def test_criterion_11_pohozaev_exactness():
-    t0 = time.time()
-    rows = harness.check_pohozaev(grids=(33, 65, 129))
-    _report_rows(11, "Pohozaev exactness", rows, time.time() - t0, 60.0)
+    _report_rows(11, "Pohozaev exactness", 60.0,
+                 harness.check_pohozaev, grids=(33, 65, 129))

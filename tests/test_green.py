@@ -148,6 +148,14 @@ class TestRepresentation:
         res = representation_residual(zero, np.zeros(3), 3, radius=1.0)
         assert res == 0.0
 
+    def test_residual_small_and_halving(self):
+        x = np.zeros(3)
+        res = [representation_residual(poly_bump, x, 3, radius=1.0, level=lev)
+               for lev in (0, 1, 2)]
+        assert res[-1] < 1e-2 * poly_bump(x[None, :])[0, 0]
+        for a, b in zip(res[:-1], res[1:]):
+            assert 1.6 <= a / b <= 2.4
+
     def test_rotation_equivariance(self):
         theta_ang = 0.7
         R = np.array([[np.cos(theta_ang), -np.sin(theta_ang), 0.0],
