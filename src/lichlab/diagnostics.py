@@ -27,12 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .conformal import SystemCoefficients, critical_exponent
+from .conformal import (
+    SystemCoefficients,
+    _conformal_divergence_correction,
+    critical_exponent,
+)
 from .geometry import (
     Chart,
     GeometryMismatch,
     OneFormField,
     ScalarField,
+    SymTensorField,
     conformal_killing_deriv,
     divergence,
     gradient,
@@ -40,6 +45,7 @@ from .geometry import (
     laplace_beltrami,
     partial_deriv,
     sym_index,
+    sym_weights,
 )
 from .quadrature import gauss_panels, unit_sphere_rule
 
@@ -146,9 +152,7 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     interp_h = _chart_interpolator(g, C.h.values)
     interp_f = _chart_interpolator(g, C.f.values)
     a_vals = C.b.values + C.gamma * np.einsum(
-        "a,a...->...",
-        np.array([1.0 if i == j else 2.0 for i, j in sym_index(n)]),
-        C.U.values ** 2)
+        "a,a...->...", sym_weights(n), C.U.values ** 2)
     interp_a = _chart_interpolator(g, a_vals)
 
     dirs, angw = unit_sphere_rule(n, polar_order, azimuth_order)
@@ -234,20 +238,14 @@ def _conformal_killing(g, phi, X_vals):
 def _conformal_lame(g, phi, X_vals):
     """lame_g X for the conformal metric: -div_g of the Killing derivative."""
     n = g.dimension
-    LX = _conformal_killing(g, phi, X_vals)
-    full = np.zeros((n, n) + g.grid_shape)
-    for a, (i, j) in enumerate(sym_index(n)):
-        full[i, j] = LX[a]
-        full[j, i] = LX[a]
+    full = SymTensorField(g, _conformal_killing(g, phi, X_vals)).full()
     s = (2.0 / (n - 2.0)) * np.stack(
         [partial_deriv(g, np.log(phi), a) for a in range(n)])
     flat_div = np.stack([
         sum(partial_deriv(g, full[j, i], j) for j in range(n))
         for i in range(n)
     ])
-    trT = np.einsum("ii...->...", full)
-    sT = np.einsum("l...,li...->i...", s, full)
-    corr = (n - 2.0) * sT - s * trT
+    corr = _conformal_divergence_correction(g, full, s)
     inv_conf = phi ** (-4.0 / (n - 2.0))
     return -inv_conf * (flat_div + corr)
 
@@ -290,11 +288,7 @@ def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
 
     # Lame identity
-    L_resc = conformal_killing_deriv(resc)
-    full = np.zeros((n, n) + g.grid_shape)
-    for a, (i, j) in enumerate(sym_index(n)):
-        full[i, j] = L_resc.values[a]
-        full[j, i] = L_resc.values[a]
+    full = conformal_killing_deriv(resc).full()
     dlog = np.stack([partial_deriv(g, np.log(phi), a) for a in range(n)])
     correction = p * np.einsum("k...,ki...->i...", dlog, full)
     lhs3 = lame(resc).values - correction

@@ -76,45 +76,48 @@ def stress_kernel(x, y, n):
     return 2.0 * n * _kappa(n) * r[..., None, None, None] ** (1.0 - n) * T
 
 
-def lame_of_columns(y, n, step=None):
+# 4th-order central differences on the offsets -2..2: first-derivative
+# weights over 12 h, second-derivative weights over 12 h^2
+_OFFSETS = (-2, -1, 0, 1, 2)
+_D1 = (1.0, -8.0, 0.0, 8.0, -1.0)
+_D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)
+
+
+def _lame_fd(X, pts, h, n):
+    """lame(X) = -lap X - (1 - 2/n) grad div X at pts by central differences.
+
+    X maps (M, n) points to (M, n, ...) values; trailing axes ride along.
+    It is called once per distinct stencil point: the centre, four points
+    on each axis and sixteen in each coordinate plane, so 1 + 4n + 8n(n-1)
+    calls of M points each.
+    """
+    pts = np.asarray(pts, dtype=float)
+    e = h * np.eye(n)
+    center = X(pts)
+    d2 = [[None] * n for _ in range(n)]                # d2[a][b] = d_a d_b X
+    for a in range(n):
+        d2[a][a] = sum(w * (center if s == 0 else X(pts + s * e[a]))
+                       for s, w in zip(_OFFSETS, _D2)) / (12.0 * h * h)
+        for b in range(a):
+            d2[a][b] = d2[b][a] = sum(
+                wa * wb * X(pts + s * e[a] + t * e[b])
+                for s, wa in zip(_OFFSETS, _D1) if wa
+                for t, wb in zip(_OFFSETS, _D1) if wb) / (144.0 * h * h)
+    lap = sum(d2[a][a] for a in range(n))
+    grad_div = np.stack([sum(d2[i][a][:, a] for a in range(n))
+                         for i in range(n)], axis=1)
+    return -lap - (1.0 - 2.0 / n) * grad_div
+
+
+def lame_of_columns(y, n):
     """Pointwise Lame operator applied to each column of G, by central FD.
 
     Returns an (n, n) matrix whose columns are lame(G e_j)(y); vanishes
     away from the singularity.  Used as the kernel-correctness probe.
     """
     y = np.asarray(y, dtype=float)
-    h = step or 1e-3 * max(np.linalg.norm(y), 1.0)
-    beta = 1.0 - 2.0 / n
-    out = np.zeros((n, n))
-    # second partials by 5-point central differences
-    for j in range(n):
-        def col(pt):
-            return fundamental(pt, n)[:, j]
-
-        lap = np.zeros(n)
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            lap += (-col(y + 2 * e) + 16 * col(y + e) - 30 * col(y)
-                    + 16 * col(y - e) - col(y - 2 * e)) / (12 * h * h)
-
-        def div_at(pt):
-            total = 0.0
-            for a in range(n):
-                e = np.zeros(n)
-                e[a] = h
-                total += (-col(pt + 2 * e)[a] + 8 * col(pt + e)[a]
-                          - 8 * col(pt - e)[a] + col(pt - 2 * e)[a]) / (12 * h)
-            return total
-
-        grad_div = np.zeros(n)
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            grad_div[a] = (-div_at(y + 2 * e) + 8 * div_at(y + e)
-                           - 8 * div_at(y - e) + div_at(y - 2 * e)) / (12 * h)
-        out[:, j] = -lap - beta * grad_div
-    return out
+    h = 1e-3 * max(np.linalg.norm(y), 1.0)
+    return _lame_fd(lambda p: fundamental(p, n), y[None, :], h, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ class KillingBasis:
         gens = _eval_generators(self.n, np.asarray(pts, dtype=float))
         return np.einsum("ab,bMi->aMi", self.coeffs, gens)
 
-    def killing_deriv(self, pts, step=1e-4):
+    def killing_deriv(self, pts):
         """L_xi of each element at pts by 4th-order central differences.
 
         The generators are quadratic polynomials, so the differences are
@@ -197,17 +200,12 @@ class KillingBasis:
         """
         pts = np.asarray(pts, dtype=float)
         n = self.n
-        m = len(self)
-        M = pts.shape[0]
-        dW = np.zeros((m, M, n, n))      # dW[., ., a, j] = d_a W_j
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = step
-            vp2 = self.evaluate(pts + 2 * e)
-            vp1 = self.evaluate(pts + e)
-            vm1 = self.evaluate(pts - e)
-            vm2 = self.evaluate(pts - 2 * e)
-            dW[:, :, a, :] = (-vp2 + 8 * vp1 - 8 * vm1 + vm2) / (12 * step)
+        h = 1e-4
+        e = h * np.eye(n)
+        dW = np.stack([                  # dW[., ., a, j] = d_a W_j
+            sum(w * self.evaluate(pts + s * e[a])
+                for s, w in zip(_OFFSETS, _D1) if w) / (12.0 * h)
+            for a in range(n)], axis=2)
         div = np.einsum("qMaa->qM", dW)
         L = dW + np.swapaxes(dW, -2, -1)
         for i in range(n):
@@ -252,35 +250,7 @@ def project_killing(X_samples, basis: KillingBasis):
 # representation formula probe
 # ---------------------------------------------------------------------------
 
-def _lame_fd(X, pts, h, n):
-    """lame(X) at pts via 4th-order central differences of the callable X."""
-    pts = np.asarray(pts, dtype=float)
-    beta = 1.0 - 2.0 / n
-
-    def d2(axis_a, axis_b):
-        ea = np.zeros(n)
-        ea[axis_a] = h
-        if axis_a == axis_b:
-            return (-X(pts + 2 * ea) + 16 * X(pts + ea) - 30 * X(pts)
-                    + 16 * X(pts - ea) - X(pts - 2 * ea)) / (12 * h * h)
-        eb = np.zeros(n)
-        eb[axis_b] = h
-
-        def d1(q):
-            return (-X(q + 2 * ea) + 8 * X(q + ea)
-                    - 8 * X(q - ea) + X(q - 2 * ea)) / (12 * h)
-
-        return (-d1(pts + 2 * eb) + 8 * d1(pts + eb)
-                - 8 * d1(pts - eb) + d1(pts - 2 * eb)) / (12 * h)
-
-    lap = sum(d2(a, a) for a in range(n))              # (M, n)
-    grad_div = np.empty_like(lap)
-    for i in range(n):
-        grad_div[:, i] = sum(d2(i, a)[:, a] for a in range(n))
-    return -lap - beta * grad_div
-
-
-def representation_residual(X, x, n, radius=1.0, level=0, lame_apply=None):
+def representation_residual(X, x, n, radius=1.0, level=0):
     """Defect of the fundamental-solution representation at the point x.
 
     X is a vectorized callable mapping (M, n) points to (M, n) one-form
@@ -289,54 +259,31 @@ def representation_residual(X, x, n, radius=1.0, level=0, lame_apply=None):
 
         max_i | X_i(x) - int G_i(x-y)_j lame(X)(y)^j dy |
 
-    with lame(X) from 4th-order finite differences (or ``lame_apply`` when
-    supplied) and a singularity-patched quadrature.  ``level`` refines the
-    pipeline: the FD step shrinks by 2^{1/4} per level (so the leading
+    with lame(X) from 4th-order central differences of X and a
+    singularity-patched quadrature: a polar patch around x (whose measure
+    cancels the kernel singularity) weighted by 1 - smoothstep of the
+    distance to x, and the ball weighted by smoothstep.  ``level`` refines
+    the pipeline: the FD step shrinks by 2^{1/4} per level (so the leading
     O(h^4) error halves) and the quadrature orders grow alongside.
     """
     x = np.asarray(x, dtype=float)
     h = 0.02 * radius * 2.0 ** (-level / 4.0)
     npolar = 24 + 8 * level
-    nazim = 2 * npolar
     nrad = 20 + 4 * level
-
-    def lame_X(pts):
-        if lame_apply is not None:
-            return lame_apply(pts)
-        return _lame_fd(X, pts, h, n)
-
     rho = 0.25 * radius
+    dirs, angw = unit_sphere_rule(n, npolar, 2 * npolar)
     total = np.zeros(n)
-
-    # patch around the kernel singularity at x (polar measure cancels it)
-    dirs, angw = unit_sphere_rule(n, npolar, nazim)
-    redges = np.linspace(0.0, 1.5 * rho, 7)
-    rn, rw = gauss_panels(redges, nrad)
-    for r, wr in zip(rn, rw):
-        chi = 1.0 - smoothstep((r / rho - 1.0) / 0.5)
-        if chi == 0.0:
-            continue
-        y = x[None, :] - r * dirs
-        G = fundamental(r * dirs, n)                   # G(x - y)
-        F = lame_X(y)
-        total += wr * r ** (n - 1.0) * np.einsum(
-            "M,Mij,Mj->i", angw * chi, G, F)
-
-    # bulk of the ball with the complementary weight
-    dirs, angw = unit_sphere_rule(n, npolar, nazim)
-    redges = np.linspace(0.0, radius, 7)
-    rn, rw = gauss_panels(redges, nrad)
-    for r, wr in zip(rn, rw):
-        y = r * dirs
-        w = x[None, :] - y
-        dw = np.linalg.norm(w, axis=-1)
-        comp = smoothstep((dw / rho - 1.0) / 0.5)
-        mask = comp > 0.0
-        if not np.any(mask):
-            continue
-        G = fundamental(w[mask], n)
-        F = lame_X(y[mask])
-        total += wr * r ** (n - 1.0) * np.einsum(
-            "M,Mij,Mj->i", angw[mask] * comp[mask], G, F)
-
+    for center, outer, patch in ((x, 1.5 * rho, True),
+                                 (np.zeros(n), radius, False)):
+        rn, rw = gauss_panels(np.linspace(0.0, outer, 7), nrad)
+        for r, wr in zip(rn, rw):
+            y = center - r * dirs
+            w = x - y
+            cut = smoothstep((np.linalg.norm(w, axis=-1) / rho - 1.0) / 0.5)
+            wt = angw * (1.0 - cut if patch else cut)
+            mask = wt > 0.0
+            if np.any(mask):
+                total += wr * r ** (n - 1.0) * np.einsum(
+                    "M,Mij,Mj->i", wt[mask], fundamental(w[mask], n),
+                    _lame_fd(X, y[mask], h, n))
     return float(np.max(np.abs(np.asarray(X(x[None, :])[0]) - total)))

@@ -11,11 +11,14 @@ Scalar recipes:   constant(value=)
 Potential:        constant(value=)                quadratic(c0=, c1=, c2=)
 Tensor (sigma):   zero()                          constant_tensor(xy=, xz=, ...)
 
+A parameter the recipe does not take raises ValueError.
+
 A stability sweep perturbs the base data along a strictly decreasing
 schedule eps_alpha = 2^{-alpha}; each perturbation shape is normalized in
 the norm matching its field's convergence topology (tau through third
 derivatives, psi and the potential through second, pi and sigma in sup
 norm), so eps_alpha is exactly the perturbation's size in that topology.
+The shapes and their norms are built once, when the config loads.
 """
 
 from __future__ import annotations
@@ -109,6 +112,28 @@ def parse_recipe(text):
     return name.strip(), params
 
 
+_SCALAR_PARAMS = {"constant": ("value",), "const": ("value",),
+                  "cosine": ("amp", "k", "offset"),
+                  "sine": ("amp", "k", "offset"),
+                  "lorentz": ("amp", "c", "axis", "offset")}
+_POTENTIAL_PARAMS = {"constant": ("value",), "const": ("value",),
+                     "quadratic": ("c0", "c1", "c2")}
+
+
+def _parse_known(text, known):
+    """parse_recipe(text); ValueError on a parameter the recipe does not take.
+
+    known maps recipe names to their parameter names; an unknown name is
+    left for the caller to reject.
+    """
+    name, prm = parse_recipe(text)
+    unknown = sorted(set(prm) - set(known.get(name, prm)))
+    if unknown:
+        raise ValueError(f"recipe {name!r} has no parameter "
+                         f"{', '.join(map(repr, unknown))}")
+    return name, prm
+
+
 def _param(prm, key, default):
     """Recipe parameter key, a number or (if default is a list) a vector."""
     val = prm.get(key, default)
@@ -128,7 +153,7 @@ def _phase(g, k):
 
 
 def scalar_from_recipe(g, text):
-    name, prm = parse_recipe(text)
+    name, prm = _parse_known(text, _SCALAR_PARAMS)
     shape = g.grid_shape
     offset, amp = _param(prm, "offset", 0.0), _param(prm, "amp", 1.0)
     if name in ("constant", "const"):
@@ -151,7 +176,7 @@ def scalar_from_recipe(g, text):
 
 
 def potential_from_recipe(text):
-    name, prm = parse_recipe(text)
+    name, prm = _parse_known(text, _POTENTIAL_PARAMS)
     if name in ("constant", "const"):
         return Potential.constant(_param(prm, "value", 0.0))
     if name == "quadratic":
@@ -161,8 +186,10 @@ def potential_from_recipe(text):
 
 
 def tensor_from_recipe(g, text):
-    name, prm = parse_recipe(text)
     n = g.dimension
+    pairs = ["xyzw"[i] + "xyzw"[j] for i, j in sym_index(min(n, 4))]
+    name, prm = _parse_known(text, {"zero": (), "none": (),
+                                    "constant_tensor": pairs})
     if name in ("zero", "none"):
         return SymTensorField.zero(g)
     if name == "constant_tensor":
@@ -170,8 +197,8 @@ def tensor_from_recipe(g, text):
             raise ValueError("constant_tensor names axes x, y, z, w: "
                              "dimension at most 4")
         vals = np.zeros((n * (n + 1) // 2,) + g.grid_shape)
-        for a, (i, j) in enumerate(sym_index(n)):
-            vals[a] = _param(prm, "xyzw"[i] + "xyzw"[j], 0.0)
+        for a, key in enumerate(pairs):
+            vals[a] = _param(prm, key, 0.0)
         return SymTensorField(g, vals)
     raise ValueError(f"unknown tensor recipe {name!r}")
 
@@ -183,7 +210,7 @@ def recipe_ck_norm(text, order):
     cos(k.x + p) has supremum prod |k_j|^{alpha_j}); single-axis recipes
     reduce to 1-D and are measured spectrally on a fine circle.
     """
-    name, prm = parse_recipe(text)
+    name, prm = _parse_known(text, _SCALAR_PARAMS)
     if name in ("constant", "const"):
         return abs(_param(prm, "value", 0.0))
     if name in ("cosine", "sine"):
@@ -226,13 +253,30 @@ def _potential_ck_norm(pot, order, span=3.0):
 PERTURBATION_ORDERS = {"tau": 3, "psi": 2, "potential": 2, "pi": 0, "sigma": 0}
 
 
+def _perturbation(g, key, recipe):
+    """Shape of a [schedule] perturbation and its norm in the field's topology."""
+    order = PERTURBATION_ORDERS[key]
+    if key == "potential":
+        shape = potential_from_recipe(recipe)
+        norm = _potential_ck_norm(shape, order)
+    elif key == "sigma":
+        shape = tensor_from_recipe(g, recipe)
+        norm = float(np.sqrt(np.max(tensor_norm_squared(shape))))
+    else:
+        shape = scalar_from_recipe(g, recipe)
+        norm = recipe_ck_norm(recipe, order)
+    if not norm > 0.0:
+        raise ValueError(f"perturb_{key} shape {recipe!r} has zero norm")
+    return shape, norm
+
+
 @dataclass
 class SweepConfig:
     geometry: Torus
     base: PhysicsData
     h_override: ScalarField = None
     alphas: tuple = tuple(range(1, 9))
-    perturb: dict = field(default_factory=dict)      # field -> recipe text
+    perturb: dict = field(default_factory=dict)  # field -> (shape, norm)
     solver: SolveOptions = field(default_factory=SolveOptions)
     vanish_threshold: float = 1e-3
     csv_path: str = None
@@ -297,7 +341,7 @@ def load_config(path):
     for key in PERTURBATION_ORDERS:
         recipe = cp.get("schedule", f"perturb_{key}", fallback="")
         if recipe and recipe.lower() != "none":
-            perturb[key] = recipe
+            perturb[key] = _perturbation(g, key, recipe)
 
     opts = SolveOptions(
         max_outer=cp.getint("solver", "max_outer", fallback=60),
@@ -363,25 +407,17 @@ def _perturbed_data(cfg, eps):
               "tau": base.tau.values.copy()}
     sigma = base.sigma.values.copy()
     pot = base.potential
-    for key, recipe in cfg.perturb.items():
-        order = PERTURBATION_ORDERS[key]
+    for key, (shape, norm) in cfg.perturb.items():
+        scale = eps / norm
         if key == "potential":
-            shape_pot = potential_from_recipe(recipe)
-            norm = _potential_ck_norm(shape_pot, order)
-            scale = eps / norm
             pot = Potential(
-                lambda s, b=pot, q=shape_pot, c=scale: b.func(s) + c * q.func(s),
-                lambda s, b=pot, q=shape_pot, c=scale: b.deriv(s) + c * q.deriv(s),
-                lambda s, b=pot, q=shape_pot, c=scale: b.deriv2(s) + c * q.deriv2(s))
+                lambda s, b=pot, q=shape, c=scale: b.func(s) + c * q.func(s),
+                lambda s, b=pot, q=shape, c=scale: b.deriv(s) + c * q.deriv(s),
+                lambda s, b=pot, q=shape, c=scale: b.deriv2(s) + c * q.deriv2(s))
         elif key == "sigma":
-            shape_t = tensor_from_recipe(g, recipe)
-            norm = max(float(np.sqrt(np.max(tensor_norm_squared(shape_t)))),
-                       1e-300)
-            sigma = sigma + (eps / norm) * shape_t.values
+            sigma = sigma + scale * shape.values
         else:
-            shape_f = scalar_from_recipe(g, recipe)
-            norm = recipe_ck_norm(recipe, order)
-            fields[key] = fields[key] + (eps / norm) * shape_f.values
+            fields[key] = fields[key] + scale * shape.values
     return PhysicsData(psi=ScalarField(g, fields["psi"]),
                        pi=ScalarField(g, fields["pi"]),
                        tau=ScalarField(g, fields["tau"]),

@@ -1,8 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lichlab.green import (
     BallQuadrature,
+    _lame_fd,
     fundamental,
     killing_basis,
     lame_of_columns,
@@ -54,6 +58,47 @@ class TestFundamental:
             y = rng.normal(size=n)
             y *= 1.5 / np.linalg.norm(y)
             assert np.max(np.abs(lame_of_columns(y, n))) < 1e-8
+
+
+class TestLameStencil:
+    @pytest.mark.parametrize("n, calls", [(3, 61), (4, 113)])
+    def test_each_stencil_point_evaluated_once(self, n, calls):
+        h = 0.01
+        pts = np.random.default_rng(7).uniform(-0.5, 0.5, size=(5, n))
+        offsets = []
+
+        def X(p):
+            assert p.shape == pts.shape
+            offsets.append(tuple(np.rint((p[0] - pts[0]) / h).astype(int)))
+            return np.sin(p)
+
+        _lame_fd(X, pts, h, n)
+        assert len(offsets) == calls
+        assert len(set(offsets)) == calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))
+    def test_cubic_one_forms_match_closed_form(self, n, seed):
+        # X_i = c_i + B_ia x_a + Q_iab x_a x_b + T_iabc x_a x_b x_c with Q, T
+        # symmetric in the lower indices; the stencil is exact on cubics
+        rng = np.random.default_rng(seed)
+        c, B = rng.normal(size=n), rng.normal(size=(n, n))
+        Q = rng.normal(size=(n, n, n))
+        Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
+        T = rng.normal(size=(n, n, n, n))
+        T = sum(np.transpose(T, (0,) + p)
+                for p in permutations((1, 2, 3))) / 6.0
+
+        def X(p):
+            return (c + np.einsum("ia,Ma->Mi", B, p)
+                    + np.einsum("iab,Ma,Mb->Mi", Q, p, p)
+                    + np.einsum("iabc,Ma,Mb,Mc->Mi", T, p, p, p))
+
+        pts = rng.uniform(-1.0, 1.0, size=(20, n))
+        hess = 2.0 * Q + 6.0 * np.einsum("iabc,Mc->Miab", T, pts)
+        closed = (-np.einsum("Miaa->Mi", hess)
+                  - (1.0 - 2.0 / n) * np.einsum("Mjji->Mi", hess))
+        assert np.max(np.abs(_lame_fd(X, pts, 0.01, n) - closed)) < 1e-7
 
 
 class TestStressKernel:

@@ -332,6 +332,9 @@ class TestMalformedInput:
         "[geometry]\n[data]\npotential = constant(value=nan)\n",
         "[geometry]\n[data]\npsi = cosine(k=1:0:0:1)\n",
         "[geometry]\n[data]\npsi = cosine(k=2)\n",
+        "[geometry]\n[data]\npsi = cosine(amplitude=5)\n",
+        "[geometry]\n[data]\n[schedule]\nperturb_tau = wavelet(a=1)\n",
+        "[geometry]\n[data]\n[schedule]\nperturb_psi = constant(value=0)\n",
         "[geometry]\n[data]\npsi = lorentz(axis=3)\n",
         "[geometry]\nperiod = 0\n[data]\n",
         "[geometry]\ndimension = 5\nresolution = 8\n"
