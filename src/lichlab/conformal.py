@@ -32,9 +32,10 @@ from .geometry import (
     OneFormField,
     ScalarField,
     SymTensorField,
+    Torus,
+    conformal_killing_deriv,
     gradient,
     laplace_beltrami,
-    partial_deriv,
     sym_index,
     tensor_trace,
 )
@@ -161,12 +162,9 @@ def coefficients(data: PhysicsData):
     g = data.geometry
     n = g.dimension
     Rg = g.scalar_curvature()
-    if g.kind == "SphereRadial":
-        grad_sq = (g.d1 @ data.psi.values) ** 2
-    else:
-        dpsi = gradient(data.psi)
-        grad_sq = np.sum(dpsi.values ** 2, axis=0)
-    r_psi = ScalarField(g, Rg - grad_sq)
+    # sum over the gradient's components; a radial one-form has one
+    dpsi = gradient(data.psi).values.reshape((-1,) + g.grid_shape)
+    r_psi = ScalarField(g, Rg - np.sum(dpsi ** 2, axis=0))
     V = data.potential(data.psi.values)
     B = ScalarField(g, 2.0 * V - ((n - 1.0) / n) * data.tau.values ** 2)
     return r_psi, B
@@ -198,19 +196,13 @@ def normalize(data: PhysicsData, h_override: ScalarField = None):
     h = h_override if h_override is not None else ScalarField(g, c * r_psi.values)
     f = ScalarField(g, c * B.values)
     b = ScalarField(g, c * data.pi.values ** 2)
-    if g.kind == "SphereRadial":
-        X = OneFormField(g, -((n - 1.0) / n) * (g.d1 @ data.tau.values))
-        Y = OneFormField(g, -data.pi.values * (g.d1 @ data.psi.values))
-    else:
-        X = OneFormField(g, -((n - 1.0) / n) * gradient(data.tau).values)
-        Y = OneFormField(g, -data.pi.values * gradient(data.psi).values)
+    X = OneFormField(g, -((n - 1.0) / n) * gradient(data.tau).values)
+    Y = OneFormField(g, -data.pi.values * gradient(data.psi).values)
     return SystemCoefficients(h=h, f=f, b=b, U=data.sigma, X=X, Y=Y, gamma=c)
 
 
 def reconstruct(u: ScalarField, W: OneFormField, data: PhysicsData):
     """Initial data set from a solution pair (u, W) of the conformal system."""
-    from .geometry import conformal_killing_deriv
-
     g = u.geometry
     n = g.dimension
     if np.min(u.values) <= 0.0:
@@ -232,22 +224,25 @@ def reconstruct(u: ScalarField, W: OneFormField, data: PhysicsData):
     )
 
 
-def _conformal_divergence_correction(g, T_full, s):
-    """Christoffel corrections to the flat divergence of a covariant 2-tensor.
+def _conformal_log_gradient(g, phi):
+    """s = d sigma for the conformal metric e^{2 sigma} = phi^{4/(n-2)}."""
+    return (2.0 / (g.dimension - 2.0)) * g.grad(np.log(phi))
+
+
+def _conformal_divergence(g, T_full, s):
+    """delta^{jk} nabla~_j T_{ki} of a covariant 2-tensor (n, n, *grid).
 
     For g~_ij = e^{2 sigma} delta_ij with s_i = d_i sigma the connection is
-    Gamma^l_{jk} = d^l_j s_k + d^l_k s_j - d_{jk} s_l, and
-
-        delta^{jk} nabla~_j T_{ki} = delta^{jk} d_j T_{ki} + C_i .
-
-    Returns C.
+    Gamma^l_{jk} = d^l_j s_k + d^l_k s_j - d_{jk} s_l, so the covariant
+    divergence is the flat one, delta^{jk} d_j T_{ki}, plus Christoffel
+    corrections.
     """
     n = g.dimension
     trT = np.einsum("ii...->...", T_full)                  # flat trace
     sT = np.einsum("l...,li...->i...", s, T_full)          # s^l T_{li}
     # -delta^{jk} Gamma^l_{jk} T_{li} = (n - 2) s^l T_{li}
     # -delta^{jk} Gamma^l_{ji} T_{kl} = -s_i trT   (T symmetric)
-    return (n - 2.0) * sT - s * trT
+    return g.div(T_full) + ((n - 2.0) * sT - s * trT)
 
 
 def constraint_residuals(ids: InitialDataSet, potential: Potential):
@@ -259,12 +254,11 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
     Torus geometry only.
     """
     g = ids.geometry
-    if g.kind != "Torus":
+    if not isinstance(g, Torus):
         raise GeometryMismatch(
             "constraint residual evaluation is implemented on the torus")
     n = g.dimension
     phi = ids.conformal_factor.values
-    two_star = critical_exponent(n)
 
     conf = phi ** (4.0 / (n - 2.0))       # g~_ij = conf * delta_ij
     inv_conf = 1.0 / conf
@@ -276,7 +270,7 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
     # diagnostic is meant to measure.)
     omega = (2.0 / (n - 2.0)) * np.log(phi)
     lap_omega = laplace_beltrami(ScalarField(g, omega)).values
-    domega = np.stack([partial_deriv(g, omega, a) for a in range(n)])
+    domega = g.grad(omega)
     R_tilde = -2.0 * (n - 1.0) * inv_conf * (
         -lap_omega + 0.5 * (n - 2.0) * np.sum(domega ** 2, axis=0))
 
@@ -284,7 +278,7 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
     trK = inv_conf * np.einsum("ii...->...", K)
     K_sq = inv_conf ** 2 * np.einsum("ij...,ij...->...", K, K)
 
-    dpsi = np.stack([partial_deriv(g, ids.psi.values, a) for a in range(n)])
+    dpsi = g.grad(ids.psi.values)
     grad_psi_sq = inv_conf * np.sum(dpsi ** 2, axis=0)
 
     ham = (R_tilde + trK ** 2 - K_sq
@@ -292,16 +286,9 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
            - 2.0 * potential(ids.psi.values))
 
     # momentum: g~^{jk} nabla~_j K_{ki} - d_i trK - pi~ d_i psi~
-    s = (2.0 / (n - 2.0)) * np.stack(
-        [partial_deriv(g, np.log(phi), a) for a in range(n)])
-    flat_div = np.stack([
-        sum(partial_deriv(g, K[j, i], j) for j in range(n))
-        for i in range(n)
-    ])
-    corr = _conformal_divergence_correction(g, K, s)
-    divK = inv_conf * (flat_div + corr)
-    dtrK = np.stack([partial_deriv(g, trK, a) for a in range(n)])
-    mom = divK - dtrK - ids.pi.values * dpsi
+    divK = inv_conf * _conformal_divergence(
+        g, K, _conformal_log_gradient(g, phi))
+    mom = divK - g.grad(trK) - ids.pi.values * dpsi
 
     vol_weight = phi ** (2.0 * n / (n - 2.0))   # dv~ = phi^{2n/(n-2)} dv
     ham_norm = float(np.sqrt(g.integrate(vol_weight * ham ** 2)))

@@ -29,7 +29,8 @@ from scipy.ndimage import map_coordinates
 
 from .conformal import (
     SystemCoefficients,
-    _conformal_divergence_correction,
+    _conformal_divergence,
+    _conformal_log_gradient,
     critical_exponent,
 )
 from .geometry import (
@@ -38,12 +39,10 @@ from .geometry import (
     OneFormField,
     ScalarField,
     SymTensorField,
+    _check_geometry,
     conformal_killing_deriv,
-    divergence,
-    gradient,
     lame,
     laplace_beltrami,
-    partial_deriv,
     sym_index,
     sym_weights,
 )
@@ -128,9 +127,14 @@ def _chart_interpolator(chart, values):
     return interp
 
 
+# Pohozaev quadrature: Gauss points per radial panel, radial panels, and
+# the polar and azimuthal orders of the unit-sphere rule
+_RADIAL_ORDER, _PANELS = 24, 6
+_POLAR_ORDER, _AZIMUTH_ORDER = 32, 64
+
+
 def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
-                    direction=None, radial_order=24, polar_order=32,
-                    azimuth_order=64, panels=6):
+                    direction=None):
     """Both sides of the Pohozaev balance over a ball inside the chart.
 
     Returns a PohozaevReport with the interior/boundary values and the
@@ -138,7 +142,7 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     identity to the translation identity along that vector.
     """
     g = v.geometry
-    if g.kind != "Chart":
+    if not isinstance(g, Chart):
         raise GeometryMismatch("pohozaev_defect expects chart fields")
     n = g.dimension
     center = np.asarray(center, dtype=float)
@@ -146,20 +150,19 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
         raise ValueError("ball exceeds the chart")
     p = critical_exponent(n)
 
-    grad_vals = [partial_deriv(g, v.values, a) for a in range(n)]
     interp_v = _chart_interpolator(g, v.values)
-    interp_g = [_chart_interpolator(g, gv) for gv in grad_vals]
+    interp_g = [_chart_interpolator(g, gv) for gv in g.grad(v.values)]
     interp_h = _chart_interpolator(g, C.h.values)
     interp_f = _chart_interpolator(g, C.f.values)
     a_vals = C.b.values + C.gamma * np.einsum(
         "a,a...->...", sym_weights(n), C.U.values ** 2)
     interp_a = _chart_interpolator(g, a_vals)
 
-    dirs, angw = unit_sphere_rule(n, polar_order, azimuth_order)
+    dirs, angw = unit_sphere_rule(n, _POLAR_ORDER, _AZIMUTH_ORDER)
 
     # interior: radial-angular quadrature with lap v from the equation
-    edges = np.linspace(0.0, radius, panels + 1)
-    rn, rw = gauss_panels(edges, radial_order)
+    edges = np.linspace(0.0, radius, _PANELS + 1)
+    rn, rw = gauss_panels(edges, _RADIAL_ORDER)
     pts = (center[None, None, :] + rn[:, None, None] * dirs[None, :, :])
     pts = pts.reshape(-1, n)
     w = ((rw * rn ** (n - 1.0))[:, None] * angw[None, :]).ravel()
@@ -204,24 +207,15 @@ def _conformal_scalar_laplacian(g, phi, v):
     Product-rule form of -phi^{-2*} div(phi^2 grad v); reduces to the plain
     discrete Laplacian exactly at phi = 1.
     """
-    n = g.dimension
-    p = critical_exponent(n)
-    cross = np.zeros(g.grid_shape)
-    for a in range(n):
-        cross += partial_deriv(g, phi ** 2, a) * partial_deriv(g, v, a)
-    return (phi ** (2.0 - p) * laplace_beltrami(ScalarField(g, v)).values
-            - phi ** (-p) * cross)
+    p = critical_exponent(g.dimension)
+    cross = np.sum(g.grad(phi ** 2) * g.grad(v), axis=0)
+    return phi ** (2.0 - p) * g.laplacian(v) - phi ** (-p) * cross
 
 
-def _conformal_killing(g, phi, X_vals):
-    """L_g X for the conformal metric, via Christoffel corrections."""
+def _conformal_killing(g, phi, s, X_vals):
+    """L_g X for the conformal metric, s its log-gradient, via Christoffels."""
     n = g.dimension
-    s = (2.0 / (n - 2.0)) * np.stack(
-        [partial_deriv(g, np.log(phi), a) for a in range(n)])
-    dX = np.stack([
-        np.stack([partial_deriv(g, X_vals[j], i) for j in range(n)])
-        for i in range(n)
-    ])                                      # dX[i, j] = d_i X_j
+    dX = g.grad(X_vals)                     # dX[i, j] = d_i X_j
     sX = np.einsum("a...,a...->...", s, X_vals)
     div_flat = np.einsum("aa...->...", dX)
     div_g = phi ** (-4.0 / (n - 2.0)) * (div_flat + (n - 2.0) * sX)
@@ -235,23 +229,15 @@ def _conformal_killing(g, phi, X_vals):
     return out
 
 
-def _conformal_lame(g, phi, X_vals):
+def _conformal_lame(g, phi, s, X_vals):
     """lame_g X for the conformal metric: -div_g of the Killing derivative."""
-    n = g.dimension
-    full = SymTensorField(g, _conformal_killing(g, phi, X_vals)).full()
-    s = (2.0 / (n - 2.0)) * np.stack(
-        [partial_deriv(g, np.log(phi), a) for a in range(n)])
-    flat_div = np.stack([
-        sum(partial_deriv(g, full[j, i], j) for j in range(n))
-        for i in range(n)
-    ])
-    corr = _conformal_divergence_correction(g, full, s)
-    inv_conf = phi ** (-4.0 / (n - 2.0))
-    return -inv_conf * (flat_div + corr)
+    full = SymTensorField(g, _conformal_killing(g, phi, s, X_vals)).full()
+    inv_conf = phi ** (-4.0 / (g.dimension - 2.0))
+    return -inv_conf * _conformal_divergence(g, full, s)
 
 
 def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
-                                   phi_factor: ScalarField, chart=None):
+                                   phi_factor: ScalarField):
     """Sup-norm defects of the three conformal covariance identities.
 
     With g = phi^{4/(n-2)} xi on the chart (phi positive):
@@ -265,9 +251,11 @@ def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
     All three reduce to exact identities at phi = 1; for curved phi the
     defects sit at the finite-difference discretization order.
     """
-    g = chart or v.geometry
-    if g.kind != "Chart":
+    g = v.geometry
+    if not isinstance(g, Chart):
         raise GeometryMismatch("covariance residuals expect chart fields")
+    _check_geometry(X, g)
+    _check_geometry(phi_factor, g)
     n = g.dimension
     p = critical_exponent(n)
     phi = phi_factor.values
@@ -281,18 +269,18 @@ def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
     res1 = float(np.max(np.abs(lhs1 - rhs1)))
 
     # Killing derivative identity
+    s = _conformal_log_gradient(g, phi)
     w = 4.0 / (n - 2.0)
     resc = OneFormField(g, phi ** (-w) * X.values)
-    lhs2 = phi ** w * conformal_killing_deriv(resc).values
-    rhs2 = _conformal_killing(g, phi, X.values)
+    L_resc = conformal_killing_deriv(resc)
+    lhs2 = phi ** w * L_resc.values
+    rhs2 = _conformal_killing(g, phi, s, X.values)
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
 
-    # Lame identity
-    full = conformal_killing_deriv(resc).full()
-    dlog = np.stack([partial_deriv(g, np.log(phi), a) for a in range(n)])
-    correction = p * np.einsum("k...,ki...->i...", dlog, full)
+    # Lame identity; 2* d log phi = n s
+    correction = n * np.einsum("k...,ki...->i...", s, L_resc.full())
     lhs3 = lame(resc).values - correction
-    rhs3 = _conformal_lame(g, phi, X.values)
+    rhs3 = _conformal_lame(g, phi, s, X.values)
     res3 = float(np.max(np.abs(lhs3 - rhs3)))
 
     return res1, res2, res3

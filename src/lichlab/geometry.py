@@ -1,6 +1,7 @@
 """Discrete geometries and tensor calculus.
 
-Three background geometries are supported:
+Three background geometries are supported, and each class carries its own
+discretisation of one calculus:
 
 * ``Torus``     -- flat periodic box T^n, spectral differentiation through
                    half-spectrum real transforms (``Torus.rfft``/``irfft``,
@@ -9,6 +10,12 @@ Three background geometries are supported:
 * ``SphereRadial`` -- radial reduction of the round S^3, 1-D finite differences,
 * ``Chart``     -- non-periodic Euclidean box, n-D finite differences
                    (used by the chart-based diagnostics).
+
+Each geometry has the array methods ``grad``, ``div``, ``laplacian``,
+``killing``, ``lame`` and ``one_form_shape``, batched over leading
+component axes: ``grad(W)[i, j] = d_i W_j`` and ``div(T)[i] = d_j T[j, i]``.
+The module functions (``gradient``, ``divergence``, ``lame``, ...) are the
+API: each checks the field's geometry and calls one method.
 
 Fields are stored nodally.  Symmetric 2-tensors are packed: the values array
 carries the n(n+1)/2 independent components in row-major upper-triangular
@@ -126,27 +133,41 @@ def _fd_matrix(x, deriv, stencil=7):
     return sp.csr_matrix((vals, (rows, cols)), shape=(npts, npts))
 
 
+def _fd_apply(mat, values, axis):
+    """Apply a 1-D differentiation matrix along one axis of an array."""
+    moved = np.moveaxis(values, axis, 0)
+    out = mat @ moved.reshape(moved.shape[0], -1)
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+def _trace_free_sym(dW):
+    """Packed dW_ij + dW_ji - (2/n) tr(dW) delta_ij for dW[i, j] = d_i W_j."""
+    n = dW.shape[0]
+    div = np.trace(dW, axis1=0, axis2=1)
+    comps = []
+    for i, j in sym_index(n):
+        c = dW[i, j] + dW[j, i]
+        if i == j:
+            c = c - (2.0 / n) * div
+        comps.append(c)
+    return np.stack(comps)
+
+
+def _unpack_sym(packed, n):
+    """Packed symmetric components (m, ...) to the full array (n, n, ...)."""
+    out = np.zeros((n, n) + packed.shape[1:])
+    for a, (i, j) in enumerate(sym_index(n)):
+        out[i, j] = packed[a]
+        out[j, i] = packed[a]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # geometries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Torus:
-    """Flat n-torus with uniform grid, periodic in every axis."""
-
-    dimension: int
-    resolution: int
-    period: float = 2.0 * np.pi
-
-    kind = "Torus"
-
-    def __post_init__(self):
-        if self.dimension < 3:
-            raise ValueError("dimension must be >= 3")
-        if self.resolution < 8:
-            raise ValueError("resolution must be >= 8 per axis")
-        if not 0.0 < self.period < np.inf:
-            raise ValueError("period must be positive and finite")
+class _Box:
+    """Uniform grid of ``resolution`` nodes per axis in ``dimension`` axes."""
 
     @property
     def grid_shape(self):
@@ -155,6 +176,37 @@ class Torus:
     @property
     def node_count(self):
         return self.resolution ** self.dimension
+
+    @property
+    def one_form_shape(self):
+        return (self.dimension,) + self.grid_shape
+
+    def coords(self):
+        """n broadcastable coordinate arrays."""
+        x = self.axis_coords
+        out = []
+        for a in range(self.dimension):
+            shape = [1] * self.dimension
+            shape[a] = self.resolution
+            out.append(x.reshape(shape))
+        return out
+
+
+@dataclass(frozen=True)
+class Torus(_Box):
+    """Flat n-torus with uniform grid, periodic in every axis."""
+
+    dimension: int
+    resolution: int
+    period: float = 2.0 * np.pi
+
+    def __post_init__(self):
+        if self.dimension < 3:
+            raise ValueError("dimension must be >= 3")
+        if self.resolution < 8:
+            raise ValueError("resolution must be >= 8 per axis")
+        if not 0.0 < self.period < np.inf:
+            raise ValueError("period must be positive and finite")
 
     @property
     def spacing(self):
@@ -167,16 +219,6 @@ class Torus:
     @cached_property
     def axis_coords(self):
         return self.spacing * np.arange(self.resolution)
-
-    def coords(self):
-        """n broadcastable coordinate arrays."""
-        x = self.axis_coords
-        out = []
-        for a in range(self.dimension):
-            shape = [1] * self.dimension
-            shape[a] = self.resolution
-            out.append(x.reshape(shape))
-        return out
 
     @cached_property
     def _axes(self):
@@ -219,6 +261,36 @@ class Torus:
         """Half-spectrum symbol |k|^2 of the Laplacian, Nyquist included."""
         return np.sum(self._half_wavevectors(odd=False) ** 2, axis=0)
 
+    def _k(self, ndim):
+        """``k_odd`` shaped to broadcast against a spectrum with ndim axes."""
+        k = self.k_odd
+        lead = (1,) * (ndim - self.dimension)
+        return k.reshape(k.shape[:1] + lead + k.shape[1:])
+
+    def grad(self, values):
+        fhat = self.rfft(values)
+        return self.irfft(1j * self._k(fhat.ndim) * fhat)
+
+    def div(self, values):
+        what = self.rfft(values)
+        return self.irfft(1j * np.einsum("a...,a...->...",
+                                         self._k(what.ndim - 1), what))
+
+    def laplacian(self, values):
+        return self.irfft(self.k2 * self.rfft(values))
+
+    def killing(self, values):
+        # in the half spectrum: one batched transform each way
+        what = self.rfft(values)
+        return self.irfft(_trace_free_sym(1j * self._k(what.ndim) * what))
+
+    def lame(self, values):
+        what = self.rfft(values)
+        k = self._k(what.ndim - 1)
+        kdotw = np.einsum("a...,a...->...", k, what)
+        beta = 1.0 - 2.0 / self.dimension
+        return self.irfft(self.k2 * what + beta * k * kdotw)
+
     def integrate(self, values):
         return np.sum(values) * self.spacing ** self.dimension
 
@@ -233,7 +305,6 @@ class SphereRadial:
     resolution: int
     eps: float = 1.0e-3
 
-    kind = "SphereRadial"
     dimension = 3
 
     def __post_init__(self):
@@ -245,6 +316,10 @@ class SphereRadial:
     @property
     def grid_shape(self):
         return (self.resolution,)
+
+    @property
+    def one_form_shape(self):
+        return self.grid_shape
 
     @property
     def node_count(self):
@@ -270,35 +345,52 @@ class SphereRadial:
     def d2(self):
         return _fd_matrix(self.r, 2)
 
+    def grad(self, values):
+        return _fd_apply(self.d1, values, -1)
+
+    def div(self, values):
+        return self.grad(values) + 2.0 * self.cot_r * values
+
+    def laplacian(self, values):
+        return (-_fd_apply(self.d2, values, -1)
+                - 2.0 * self.cot_r * self.grad(values))
+
+    def killing(self, values):
+        # radial one-form w(r) d/dr on round S^3: in the orthonormal frame
+        # (L W) = diag((4/3) psi, -(2/3) psi, -(2/3) psi), psi = w' - w cot r
+        psi = self.grad(values) - values * self.cot_r
+        out = np.zeros((6,) + values.shape)
+        out[0] = (4.0 / 3.0) * psi
+        out[3] = out[5] = -(2.0 / 3.0) * psi
+        return out
+
+    def lame(self, values):
+        return -(4.0 / 3.0) * (_fd_apply(self.d2, values, -1)
+                               + 2.0 * self.cot_r * self.grad(values)
+                               + (1.0 - 2.0 * self.cot_r ** 2) * values)
+
     def integrate(self, values):
-        """Integral over S^3 of a radial function, 4 pi sin^2(r) weight."""
-        return 4.0 * np.pi * np.trapezoid(values * np.sin(self.r) ** 2, self.r)
+        """Integral over S^3 of radial functions, 4 pi sin^2(r) weight,
+        summed over leading component axes."""
+        per_node = np.sum(np.reshape(values, (-1, self.resolution)), axis=0)
+        weight = np.sin(self.r) ** 2
+        return 4.0 * np.pi * np.trapezoid(per_node * weight, self.r)
 
     def scalar_curvature(self):
         return 6.0
 
 
 @dataclass(frozen=True)
-class Chart:
+class Chart(_Box):
     """Non-periodic uniform Cartesian grid on [-extent, extent]^n."""
 
     dimension: int
     resolution: int
     extent: float = 1.0
 
-    kind = "Chart"
-
     def __post_init__(self):
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8 per axis")
-
-    @property
-    def grid_shape(self):
-        return (self.resolution,) * self.dimension
-
-    @property
-    def node_count(self):
-        return self.resolution ** self.dimension
 
     @cached_property
     def axis_coords(self):
@@ -308,15 +400,6 @@ class Chart:
     def spacing(self):
         return 2.0 * self.extent / (self.resolution - 1)
 
-    def coords(self):
-        x = self.axis_coords
-        out = []
-        for a in range(self.dimension):
-            shape = [1] * self.dimension
-            shape[a] = self.resolution
-            out.append(x.reshape(shape))
-        return out
-
     @cached_property
     def d1(self):
         return _fd_matrix(self.axis_coords, 1)
@@ -324,6 +407,28 @@ class Chart:
     @cached_property
     def d2(self):
         return _fd_matrix(self.axis_coords, 2)
+
+    def _along(self, mat, values, a):
+        """Apply mat along grid axis a of an array with leading components."""
+        return _fd_apply(mat, values, values.ndim - self.dimension + a)
+
+    def grad(self, values):
+        return np.stack([self._along(self.d1, values, a)
+                         for a in range(self.dimension)])
+
+    def div(self, values):
+        return sum(self._along(self.d1, values[a], a)
+                   for a in range(self.dimension))
+
+    def laplacian(self, values):
+        return -sum(self._along(self.d2, values, a)
+                    for a in range(self.dimension))
+
+    def killing(self, values):
+        return _trace_free_sym(self.grad(values))
+
+    def lame(self, values):
+        return -self.div(_unpack_sym(self.killing(values), self.dimension))
 
     def scalar_curvature(self):
         return 0.0
@@ -367,20 +472,14 @@ class OneFormField:
 
     def __post_init__(self):
         self.values = _as_finite_array(self.values)
-        g = self.geometry
-        if g.kind == "SphereRadial":
-            expected = g.grid_shape
-        else:
-            expected = (g.dimension,) + g.grid_shape
+        expected = self.geometry.one_form_shape
         if self.values.shape != expected:
             raise ValueError(
                 f"one-form values shape {self.values.shape}, expected {expected}")
 
     @classmethod
     def zero(cls, geometry):
-        if geometry.kind == "SphereRadial":
-            return cls(geometry, np.zeros(geometry.grid_shape))
-        return cls(geometry, np.zeros((geometry.dimension,) + geometry.grid_shape))
+        return cls(geometry, np.zeros(geometry.one_form_shape))
 
     def copy(self):
         return OneFormField(self.geometry, self.values.copy())
@@ -413,12 +512,7 @@ class SymTensorField:
 
     def full(self):
         """Expand packed components to shape (n, n, *grid)."""
-        n = self.geometry.dimension
-        out = np.zeros((n, n) + self.geometry.grid_shape)
-        for a, (i, j) in enumerate(sym_index(n)):
-            out[i, j] = self.values[a]
-            out[j, i] = self.values[a]
-        return out
+        return _unpack_sym(self.values, self.geometry.dimension)
 
     def copy(self):
         return SymTensorField(self.geometry, self.values.copy())
@@ -438,128 +532,44 @@ def tensor_trace(T):
 
 
 # ---------------------------------------------------------------------------
-# differentiation back ends
-# ---------------------------------------------------------------------------
-
-def _fd_partial(g, values, axis, deriv=1):
-    mat = g.d1 if deriv == 1 else g.d2
-    moved = np.moveaxis(values, axis, 0)
-    flat = moved.reshape(g.resolution, -1)
-    out = mat @ flat
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
-
-
-def partial_deriv(g, values, axis):
-    """First partial derivative along an axis, spectral or FD by geometry."""
-    if g.kind == "Torus":
-        return g.irfft(1j * g.k_odd[axis] * g.rfft(values))
-    if g.kind == "Chart":
-        return _fd_partial(g, values, axis, 1)
-    raise GeometryMismatch("partial_deriv needs a torus or chart geometry")
-
-
-# ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
+
+def partial_deriv(g, values, axis):
+    """First partial derivative along a grid axis (torus or chart)."""
+    if isinstance(g, SphereRadial):
+        raise GeometryMismatch("partial_deriv needs a torus or chart geometry")
+    return g.grad(values)[axis]
+
 
 def laplace_beltrami(f, g=None):
     """Laplace-Beltrami of a scalar, nonnegative sign convention."""
     g = _check_geometry(f, g)
-    if g.kind == "Torus":
-        return ScalarField(g, g.irfft(g.k2 * g.rfft(f.values)))
-    if g.kind == "SphereRadial":
-        vals = -(g.d2 @ f.values) - 2.0 * g.cot_r * (g.d1 @ f.values)
-        return ScalarField(g, vals)
-    if g.kind == "Chart":
-        out = np.zeros_like(f.values)
-        for a in range(g.dimension):
-            out -= _fd_partial(g, f.values, a, 2)
-        return ScalarField(g, out)
-    raise GeometryMismatch(f"unsupported geometry kind {g.kind}")
+    return ScalarField(g, g.laplacian(f.values))
 
 
 def gradient(f, g=None):
-    """Euclidean-component gradient of a scalar (torus or chart)."""
+    """Gradient of a scalar: Euclidean components, radial on the sphere."""
     g = _check_geometry(f, g)
-    if g.kind == "SphereRadial":
-        return OneFormField(g, g.d1 @ f.values)
-    if g.kind == "Torus":
-        return OneFormField(g, g.irfft(1j * g.k_odd * g.rfft(f.values)))
-    comps = [partial_deriv(g, f.values, a) for a in range(g.dimension)]
-    return OneFormField(g, np.stack(comps))
+    return OneFormField(g, g.grad(f.values))
 
 
 def divergence(W, g=None):
-    """Divergence of a one-form (torus or chart)."""
+    """Divergence of a one-form."""
     g = _check_geometry(W, g)
-    if g.kind == "SphereRadial":
-        return ScalarField(g, (g.d1 @ W.values) + 2.0 * g.cot_r * W.values)
-    if g.kind == "Torus":
-        what = g.rfft(W.values)
-        return ScalarField(g, g.irfft(1j * np.einsum("a...,a...->...", g.k_odd, what)))
-    out = np.zeros(g.grid_shape)
-    for a in range(g.dimension):
-        out += partial_deriv(g, W.values[a], a)
-    return ScalarField(g, out)
+    return ScalarField(g, g.div(W.values))
 
 
 def conformal_killing_deriv(W, g=None):
     """Trace-free symmetrized derivative L_g W."""
     g = _check_geometry(W, g)
-    n = g.dimension
-    if g.kind == "SphereRadial":
-        # radial one-form w(r) d/dr on round S^3: in the orthonormal frame
-        # (L W) = diag((4/3) psi, -(2/3) psi, -(2/3) psi), psi = w' - w cot r
-        psi = (g.d1 @ W.values) - W.values * g.cot_r
-        vals = np.zeros((6, g.resolution))
-        vals[0] = (4.0 / 3.0) * psi
-        vals[3] = -(2.0 / 3.0) * psi
-        vals[5] = -(2.0 / 3.0) * psi
-        return SymTensorField(g, vals)
-    if g.kind == "Torus":
-        # in the half spectrum: one batched transform each way
-        dW = 1j * g.k_odd[:, None] * g.rfft(W.values)[None]
-    else:
-        dW = np.stack([
-            np.stack([partial_deriv(g, W.values[j], i) for j in range(n)])
-            for i in range(n)
-        ])  # dW[i, j] = d_i W_j
-    div = np.trace(dW, axis1=0, axis2=1)
-    comps = []
-    for i, j in sym_index(n):
-        c = dW[i, j] + dW[j, i]
-        if i == j:
-            c = c - (2.0 / n) * div
-        comps.append(c)
-    comps = np.stack(comps)
-    return SymTensorField(g, g.irfft(comps) if g.kind == "Torus" else comps)
+    return SymTensorField(g, g.killing(W.values))
 
 
 def lame(W, g=None):
     """Lame operator, minus the divergence of the conformal Killing derivative."""
     g = _check_geometry(W, g)
-    n = g.dimension
-    if g.kind == "Torus":
-        what = g.rfft(W.values)
-        k = g.k_odd
-        kdotw = np.einsum("a...,a...->...", k, what)
-        out = g.k2 * what + (1.0 - 2.0 / n) * k * kdotw
-        return OneFormField(g, g.irfft(out))
-    if g.kind == "SphereRadial":
-        w = W.values
-        vals = -(4.0 / 3.0) * ((g.d2 @ w) + 2.0 * g.cot_r * (g.d1 @ w)
-                               + (1.0 - 2.0 * g.cot_r ** 2) * w)
-        return OneFormField(g, vals)
-    if g.kind == "Chart":
-        LW = conformal_killing_deriv(W, g).full()
-        comps = []
-        for i in range(n):
-            div_i = np.zeros(g.grid_shape)
-            for j in range(n):
-                div_i += partial_deriv(g, LW[j, i], j)
-            comps.append(-div_i)
-        return OneFormField(g, np.stack(comps))
-    raise GeometryMismatch(f"unsupported geometry kind {g.kind}")
+    return OneFormField(g, g.lame(W.values))
 
 
 def lame_invert(F, g=None):
@@ -569,7 +579,7 @@ def lame_invert(F, g=None):
     and defect is the L^2 norm of the discarded constant component of F.
     """
     g = _check_geometry(F, g)
-    if g.kind != "Torus":
+    if not isinstance(g, Torus):
         raise GeometryMismatch("lame_invert requires a torus geometry")
     n = g.dimension
     fhat = g.rfft(F.values)
@@ -578,7 +588,7 @@ def lame_invert(F, g=None):
     zero = k2 == 0.0
     k2[zero] = 1.0
     # Sherman-Morrison inverse of the mode symbol |k|^2 I + beta k k^T
-    # (k from the odd-consistent wavevectors, matching ``lame`` exactly)
+    # (k from the odd-consistent wavevectors, matching ``Torus.lame`` exactly)
     beta = 1.0 - 2.0 / n
     k2_odd = np.sum(k ** 2, axis=0)
     coef = beta / (k2 + beta * k2_odd)
@@ -596,13 +606,10 @@ def lame_invert(F, g=None):
 # ---------------------------------------------------------------------------
 
 def l2_inner(g, a, b):
-    """L^2 inner product of same-shaped nodal arrays (flat geometries)."""
-    if g.kind == "Torus":
-        return float(np.sum(a * b) * g.spacing ** g.dimension)
-    if g.kind == "SphereRadial":
-        return float(4.0 * np.pi * np.trapezoid(np.sum(
-            (a * b).reshape(-1, g.resolution), axis=0) * np.sin(g.r) ** 2, g.r))
-    raise GeometryMismatch("l2_inner supports torus and sphere grids")
+    """L^2 inner product of same-shaped nodal arrays (torus and sphere grids)."""
+    if isinstance(g, Chart):
+        raise GeometryMismatch("l2_inner supports torus and sphere grids")
+    return float(g.integrate(a * b))
 
 
 def l2_norm(g, a):
@@ -612,7 +619,7 @@ def l2_norm(g, a):
 def h1_norm_squared(W):
     """H^1 norm squared of a torus one-form, |W|_2^2 + |dW|_2^2."""
     g = W.geometry
-    if g.kind != "Torus":
+    if not isinstance(g, Torus):
         raise GeometryMismatch("h1_norm_squared requires a torus geometry")
-    dW = g.irfft(1j * g.k_odd[:, None] * g.rfft(W.values)[None])
+    dW = g.grad(W.values)
     return l2_inner(g, W.values, W.values) + l2_inner(g, dW, dW)

@@ -47,7 +47,6 @@ from .geometry import (
     Torus,
     conformal_killing_deriv,
     lame,
-    partial_deriv,
     sym_index,
     sym_weights,
     tensor_norm_squared,
@@ -428,9 +427,7 @@ def _perturbed_data(cfg, eps):
 def _c1_distance(g, u1, u0):
     """C^1 distance sup|d| + max_a sup|d_a d| of d = u1 - u0."""
     d = u1 - u0
-    slope = max(float(np.max(np.abs(partial_deriv(g, d, a))))
-                for a in range(g.dimension))
-    return float(np.max(np.abs(d))) + slope
+    return float(np.max(np.abs(d))) + float(np.max(np.abs(g.grad(d))))
 
 
 def run_sweep(cfg: SweepConfig):

@@ -88,7 +88,6 @@ class SolveOptions:
     u_floor: float = 1e-8
     initial_guess: Union[ScalarField, float, None] = None
     coercivity_check: str = "strict"    # "strict" | "weak" | "off"
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -187,14 +186,14 @@ def _newton_apply(g, diag, v):
     return laplace_beltrami(ScalarField(g, v)).values + diag * v
 
 
-def check_coercivity(C, mode="strict", iterations=20, threshold=1e-12):
+def check_coercivity(C, mode="strict"):
     """Ritz check of lap + h; raises NonCoerciveError on failure."""
     if mode == "off":
         return 0.0
     g = C.geometry
     ritz = _lanczos_smallest_ritz(lambda v: _newton_apply(g, C.h.values, v),
-                                  g.grid_shape, iterations)
-    limit = threshold if mode == "strict" else -1e-10
+                                  g.grid_shape)
+    limit = 1e-12 if mode == "strict" else -1e-10
     if ritz <= limit:
         raise NonCoerciveError(
             f"smallest Ritz value of lap + h is {ritz:.3e} "
@@ -240,7 +239,7 @@ def solve_scalar(W, C, opts: SolveOptions):
         op = spla.LinearOperator((size, size), matvec=matvec)
         M = spla.LinearOperator((size, size), matvec=precond)
         delta, info = spla.minres(op, -res.ravel(), M=M,
-                                  rtol=opts.linear_tol, maxiter=400)
+                                  rtol=1e-12, maxiter=400)
         if info != 0:
             raise NewtonDivergedError(
                 f"MINRES failed on the Newton system (info {info}) at "

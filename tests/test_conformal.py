@@ -14,6 +14,7 @@ from lichlab.conformal import (
 from lichlab.geometry import (
     OneFormField,
     ScalarField,
+    SphereRadial,
     SymTensorField,
     Torus,
 )
@@ -107,6 +108,19 @@ class TestNormalize:
         vals[0] = 1.0    # trace defect
         with pytest.warns(UserWarning):
             make_data(torus, sigma=SymTensorField(torus, vals))
+
+
+class TestSphereCoefficients:
+    def test_radial_closed_forms(self):
+        # psi = cos r, tau = sin r, pi = 0.3 on the round S^3 (R = 6)
+        g = SphereRadial(257)
+        r = g.r
+        D = make_data(g, psi=np.cos(r), pi=0.3, tau=np.sin(r))
+        r_psi, _ = coefficients(D)
+        C = normalize(D)
+        assert np.max(np.abs(r_psi.values - (6.0 - np.sin(r) ** 2))) < 1e-8
+        assert np.max(np.abs(C.X.values + (2.0 / 3.0) * np.cos(r))) < 1e-8
+        assert np.max(np.abs(C.Y.values - 0.3 * np.sin(r))) < 1e-8
 
 
 class TestReconstruct:

@@ -11,6 +11,7 @@ from lichlab.diagnostics import (
 )
 from lichlab.geometry import (
     Chart,
+    GeometryMismatch,
     OneFormField,
     ScalarField,
     SymTensorField,
@@ -181,3 +182,10 @@ class TestCovariance:
         X = OneFormField.zero(g)
         with pytest.raises(ValueError):
             conformal_covariance_residuals(v, X, ScalarField.constant(g, 0.0))
+
+    def test_fields_on_another_chart_rejected(self):
+        g = Chart(3, 33, extent=1.0)
+        v = ScalarField.constant(g, 1.0)
+        X = OneFormField.zero(Chart(3, 33, extent=2.0))
+        with pytest.raises(GeometryMismatch):
+            conformal_covariance_residuals(v, X, ScalarField.constant(g, 1.0))

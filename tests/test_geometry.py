@@ -215,6 +215,27 @@ class TestChart:
         w0 = np.sin(x0) * np.cos(x1)
         assert abs(fd[0][mid, mid, mid] - (2 + 1.0 / 3.0) * w0) < 1e-6
 
+    def test_batched_operators_equal_per_axis_differences(self):
+        g = Chart(3, 10, extent=1.0)
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=g.grid_shape)
+        w = rng.normal(size=g.one_form_shape)
+
+        def d(values, a):        # one scalar array along one axis
+            return np.apply_along_axis(g.d1.dot, a, values)
+
+        assert np.array_equal(gradient(ScalarField(g, f)).values,
+                              np.stack([d(f, a) for a in range(3)]))
+        assert np.array_equal(divergence(OneFormField(g, w)).values,
+                              d(w[0], 0) + d(w[1], 1) + d(w[2], 2))
+        dw = [[d(w[j], i) for j in range(3)] for i in range(3)]
+        div = dw[0][0] + dw[1][1] + dw[2][2]
+        L = [[dw[i][j] + dw[j][i] - (2.0 / 3.0) * div if i == j
+              else dw[i][j] + dw[j][i] for j in range(3)] for i in range(3)]
+        ref = np.stack([-(d(L[0][i], 0) + d(L[1][i], 1) + d(L[2][i], 2))
+                        for i in range(3)])
+        assert np.array_equal(lame(OneFormField(g, w)).values, ref)
+
     def test_geometry_mismatch_raises(self):
         g1 = Torus(3, 16)
         g2 = Torus(3, 32)
@@ -323,6 +344,10 @@ class TestHalfSpectrumBackend:
         assert rel_err(gradient(F).values, d) < 1e-12
         for a in range(3):
             assert rel_err(partial_deriv(g, f, a), d[a]) < 1e-12
+        # a leading component axis is differentiated as one batch
+        fs = bandlimited_values(g, rng, (2,), kmax)
+        assert rel_err(g.grad(fs), ref_partials(g, fs)) < 1e-12
+        assert rel_err(g.laplacian(fs), ref_multiply(g, k2, fs)) < 1e-12
 
     @backend_settings
     @given(torus_draws())
@@ -334,8 +359,13 @@ class TestHalfSpectrumBackend:
         div = np.trace(dW)
         ref_L = np.stack([dW[i, j] + dW[j, i] - (2.0 / 3.0) * div * (i == j)
                           for i, j in sym_index(3)])
+        assert rel_err(g.grad(w), dW) < 1e-12
         assert rel_err(divergence(W).values, div) < 1e-12
         assert rel_err(conformal_killing_deriv(W).values, ref_L) < 1e-12
+        # div contracts the first index of a 2-tensor: d_j T[j, i]
+        T = bandlimited_values(g, rng, (3, 3), kmax)
+        ref_divT = sum(ref_partials(g, T[j])[j] for j in range(3))
+        assert rel_err(g.div(T), ref_divT) < 1e-12
 
         axes = (1, 2, 3)
         what = np.moveaxis(np.fft.fftn(w, axes=axes), 0, -1)

@@ -153,29 +153,10 @@ class TestAssembly:
 
 
 class TestVerify:
-    def test_residuals_and_closed_form_sup(self):
-        reports = [verify(assemble(lam)) for lam in (1.5, 1.1, 1.01)]
-        sups = []
-        for rep in reports:
-            assert rep.scalar_residual < 1e-6
-            assert rep.vector_residual < 1e-6
-            assert rep.sup_phi == pytest.approx(rep.sup_phi_closed_form,
-                                                rel=1e-9)
-            sups.append(rep.sup_phi)
-        assert sups[0] < sups[1] < sups[2]        # blow-up as lam -> 1
-
     def test_lam_15_closed_form_value(self):
         rep = verify(assemble(1.5, geometry=SphereRadial(1024)))
         assert rep.sup_phi == pytest.approx(2.5 ** 0.25 / 0.5 ** 0.25,
                                             rel=1e-12)
-
-    def test_bounded_data_along_family(self):
-        totals = []
-        for lam in (1.5, 1.1, 1.01):
-            rep = verify(assemble(lam))
-            totals.append(rep.norm_U + rep.norm_Y)
-        spread = (max(totals) - min(totals)) / min(totals)
-        assert spread < 0.05
 
     def test_family_converges_as_lam_decreases(self):
         # Cauchy differences of U and Y between successive lam values
