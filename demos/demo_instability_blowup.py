@@ -5,8 +5,6 @@ As lam decreases to 1 the sphere bubble's supremum diverges like
 a family of exact solutions with bounded data and unbounded solutions.
 """
 
-import numpy as np
-
 from lichlab.instability import assemble, sphere_yamabe_residual, verify
 
 print("Yamabe identity residual of the sphere bubble (n = 3, lam = 1.25):",

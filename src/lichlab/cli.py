@@ -9,8 +9,7 @@ Subcommands:
                 acceptance checks at reduced size
   constants     print the dimension constants for a given n
 
-Exit status is 0 iff every requested check passes.  The LICHLAB_WORKERS
-environment variable selects the worker count (default 1, reproducible).
+Exit status is 0 iff every requested check passes.
 """
 
 from __future__ import annotations

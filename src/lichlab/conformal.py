@@ -22,8 +22,7 @@ solution of the constraints.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,27 +57,29 @@ def critical_exponent(n):
     return 2.0 * n / (n - 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Potential:
-    """Potential evaluator: value with first and second derivatives."""
+    """Quadratic potential V(s) = c0 + c1 s + c2 s^2 / 2."""
 
-    func: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    deriv2: Callable[[np.ndarray], np.ndarray]
+    c0: float
+    c1: float
+    c2: float
 
     @classmethod
     def constant(cls, value):
-        v = float(value)
-        return cls(lambda s: v + 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
+        return cls(float(value), 0.0, 0.0)
 
     @classmethod
     def quadratic(cls, c0=0.0, c1=0.0, c2=0.0):
-        return cls(lambda s: c0 + c1 * s + 0.5 * c2 * s * s,
-                   lambda s: c1 + c2 * s,
-                   lambda s: c2 + 0.0 * s)
+        return cls(float(c0), float(c1), float(c2))
 
     def __call__(self, s):
-        return self.func(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        return self.c0 + self.c1 * s + 0.5 * self.c2 * s * s
+
+
+# sigma's g-trace above which PhysicsData warns
+_TRACE_TOL = 1e-10
 
 
 @dataclass
@@ -88,7 +89,6 @@ class PhysicsData:
     tau: ScalarField
     sigma: SymTensorField
     potential: Potential
-    trace_tol: float = 1e-10
 
     def __post_init__(self):
         g = self.psi.geometry
@@ -96,7 +96,7 @@ class PhysicsData:
             if f.geometry is not g and f.geometry != g:
                 raise GeometryMismatch("physics data fields share no geometry")
         tr = np.max(np.abs(tensor_trace(self.sigma)))
-        if tr > self.trace_tol:
+        if tr > _TRACE_TOL:
             warnings.warn(
                 f"sigma has g-trace defect {tr:.3e}; the general system only "
                 "needs a symmetric U, continuing", stacklevel=2)

@@ -112,9 +112,13 @@ def _chart_interpolator(chart, values):
     """Quintic interpolation of nodal values at arbitrary points.
 
     The spline prefilter runs once here; evaluation is then cheap per call.
+    A constant field is returned as that constant, with no spline at all.
     """
     from scipy.ndimage import spline_filter
 
+    if np.all(values == values.flat[0]):
+        value = float(values.flat[0])
+        return lambda pts: np.full(len(pts), value)
     lo = -chart.extent
     h = chart.spacing
     filtered = spline_filter(values, order=5, mode="nearest")

@@ -1,14 +1,17 @@
 """Sweeps, demos, and verification suites.
 
 Configuration is a flat INI document with sections [geometry], [data],
-[schedule], [solver], [output].  Field values are symbolic recipes of the
-form ``name(param=value, ...)``; vector parameters use colon-separated
-components (``k=1:0:0``).  Recipes keep configs resolution-independent.
+[schedule], [solver], [output]; any other section or key is an error, and
+a key left out keeps the default of SweepConfig or SolveOptions.  Field
+values are symbolic recipes of the form ``name(param=value, ...)``; vector
+parameters use colon-separated components (``k=1:0:0``).  Recipes keep
+configs resolution-independent.
 
 Scalar recipes:   constant(value=)
                   cosine(amp=, k=, offset=)       sine(amp=, k=, offset=)
                   lorentz(amp=, c=, axis=, offset=)   [amp / (c - cos x_axis)]
 Potential:        constant(value=)                quadratic(c0=, c1=, c2=)
+                  [c0 + c1 s + c2 s^2 / 2]
 Tensor (sigma):   zero()                          constant_tensor(xy=, xz=, ...)
 
 A parameter the recipe does not take raises ValueError.
@@ -18,7 +21,8 @@ schedule eps_alpha = 2^{-alpha}; each perturbation shape is normalized in
 the norm matching its field's convergence topology (tau through third
 derivatives, psi and the potential through second, pi and sigma in sup
 norm), so eps_alpha is exactly the perturbation's size in that topology.
-The shapes and their norms are built once, when the config loads.
+The potential's norm is its closed-form C^2 norm on [-3, 3].  Shapes and
+norms are built once, when the config loads.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,19 +71,7 @@ __all__ = [
     "run_verification_suite",
     "write_csv",
     "write_json_summary",
-    "worker_count",
 ]
-
-WORKERS_ENV = "LICHLAB_WORKERS"
-
-
-def worker_count():
-    """LICHLAB_WORKERS as a positive integer; 1 when unset."""
-    text = os.environ.get(WORKERS_ENV, "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError(
-            f"{WORKERS_ENV} must be a positive integer, not {text!r}")
-    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +226,18 @@ def recipe_ck_norm(text, order):
     raise ValueError(f"no C^k norm rule for recipe {name!r}")
 
 
-def _potential_ck_norm(pot, order, span=3.0):
-    s = np.linspace(-span, span, 2001)
-    best = float(np.max(np.abs(pot.func(s))))
-    if order >= 1:
-        best = max(best, float(np.max(np.abs(pot.deriv(s)))))
-    if order >= 2:
-        best = max(best, float(np.max(np.abs(pot.deriv2(s)))))
-    return best
+def _potential_c2_norm(pot):
+    """C^2 norm of V on [-3, 3]: sup of |V|, |V'| and |V''| = |c2|.
+
+    V' is affine, so its sup sits at s = +-3; |V| peaks at s = +-3 or at
+    the vertex -c1/c2 when that lies inside.
+    """
+    s = [-3.0, 3.0]
+    if pot.c2 != 0.0 and abs(pot.c1) <= 3.0 * abs(pot.c2):
+        s.append(-pot.c1 / pot.c2)
+    s = np.array(s)
+    return float(max(np.max(np.abs(pot(s))),
+                     np.max(np.abs(pot.c1 + pot.c2 * s)), abs(pot.c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +249,15 @@ PERTURBATION_ORDERS = {"tau": 3, "psi": 2, "potential": 2, "pi": 0, "sigma": 0}
 
 def _perturbation(g, key, recipe):
     """Shape of a [schedule] perturbation and its norm in the field's topology."""
-    order = PERTURBATION_ORDERS[key]
     if key == "potential":
         shape = potential_from_recipe(recipe)
-        norm = _potential_ck_norm(shape, order)
+        norm = _potential_c2_norm(shape)
     elif key == "sigma":
         shape = tensor_from_recipe(g, recipe)
         norm = float(np.sqrt(np.max(tensor_norm_squared(shape))))
     else:
         shape = scalar_from_recipe(g, recipe)
-        norm = recipe_ck_norm(recipe, order)
+        norm = recipe_ck_norm(recipe, PERTURBATION_ORDERS[key])
     if not norm > 0.0:
         raise ValueError(f"perturb_{key} shape {recipe!r} has zero norm")
     return shape, norm
@@ -295,11 +289,31 @@ class SweepConfig:
         return hashlib.sha256(self.config_text.encode()).hexdigest()[:16]
 
 
+# the keys each config section takes; any other section or key is an error
+_SECTIONS = {
+    "geometry": ("kind", "dimension", "resolution", "period"),
+    "data": ("psi", "pi", "tau", "sigma", "potential", "h"),
+    "schedule": ("alphas", "vanish_threshold")
+    + tuple(f"perturb_{key}" for key in PERTURBATION_ORDERS),
+    "solver": tuple(f.name for f in fields(SolveOptions)
+                    if f.name != "initial_guess"),
+    "output": ("csv", "json"),
+}
+
+
+def _given_fields(cp, section, cls, names):
+    """Fields of cls among names set in [section], typed as their default."""
+    read = {int: cp.getint, float: cp.getfloat, str: cp.get}
+    return {f.name: read[type(f.default)](section, f.name)
+            for f in fields(cls)
+            if f.name in names and cp.has_option(section, f.name)}
+
+
 def load_config(path):
     """Read a sweep/solve configuration from an INI file.
 
-    Malformed content raises ValueError.  Values are taken literally (no
-    ``%`` interpolation).
+    Malformed content, an unknown section and an unknown key raise
+    ValueError.  Values are taken literally (no ``%`` interpolation).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -309,55 +323,50 @@ def load_config(path):
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"malformed config {path}: {exc}") from exc
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"config {path} has unknown section [{name}]")
+        unknown = sorted(set(cp[name]) - set(_SECTIONS[name]))
+        if unknown:
+            raise ValueError(f"config {path} [{name}] has unknown key(s) "
+                             f"{', '.join(unknown)}")
     for name in ("geometry", "data"):
         if not cp.has_section(name):
             raise ValueError(f"config {path} has no [{name}] section")
 
     geo = cp["geometry"]
-    kind = geo.get("kind", "torus").lower()
-    if kind != "torus":
+    if geo.get("kind", "torus").lower() != "torus":
         raise ValueError("sweeps support torus geometries")
     g = Torus(dimension=geo.getint("dimension", 3),
               resolution=geo.getint("resolution", 16),
-              period=geo.getfloat("period", 2.0 * np.pi))
+              **_given_fields(cp, "geometry", Torus, ("period",)))
 
     data = cp["data"]
     base = PhysicsData(
-        psi=scalar_from_recipe(g, data.get("psi", "constant(value=0.0)")),
-        pi=scalar_from_recipe(g, data.get("pi", "constant(value=0.0)")),
-        tau=scalar_from_recipe(g, data.get("tau", "constant(value=0.0)")),
+        **{key: scalar_from_recipe(g, data.get(key, "constant(value=0.0)"))
+           for key in ("psi", "pi", "tau")},
         sigma=tensor_from_recipe(g, data.get("sigma", "zero()")),
         potential=potential_from_recipe(
             data.get("potential", "constant(value=0.0)")))
-    h_override = None
-    if data.get("h", None):
-        h_override = scalar_from_recipe(g, data["h"])
+    h_override = scalar_from_recipe(g, data["h"]) if data.get("h") else None
 
-    # a missing [schedule], [solver] or [output] section means defaults
-    alphas = tuple(int(a) for a in cp.get(
-        "schedule", "alphas", fallback="1 2 3 4 5 6 7 8").split())
+    schedule = _given_fields(cp, "schedule", SweepConfig,
+                             ("vanish_threshold",))
+    if cp.has_option("schedule", "alphas"):
+        schedule["alphas"] = tuple(
+            int(a) for a in cp.get("schedule", "alphas").split())
     perturb = {}
     for key in PERTURBATION_ORDERS:
         recipe = cp.get("schedule", f"perturb_{key}", fallback="")
         if recipe and recipe.lower() != "none":
             perturb[key] = _perturbation(g, key, recipe)
+    output = dict(cp["output"]) if cp.has_section("output") else {}
 
-    opts = SolveOptions(
-        max_outer=cp.getint("solver", "max_outer", fallback=60),
-        max_newton=cp.getint("solver", "max_newton", fallback=40),
-        tol_residual=cp.getfloat("solver", "tol_residual", fallback=1e-10),
-        damping=cp.getfloat("solver", "damping", fallback=0.7),
-        u_floor=cp.getfloat("solver", "u_floor", fallback=1e-8),
-        coercivity_check=cp.get("solver", "coercivity_check",
-                                fallback="strict"),
-    )
     return SweepConfig(
-        geometry=g, base=base, h_override=h_override, alphas=alphas,
-        perturb=perturb, solver=opts,
-        vanish_threshold=cp.getfloat("schedule", "vanish_threshold",
-                                     fallback=1e-3),
-        csv_path=cp.get("output", "csv", fallback=None),
-        json_path=cp.get("output", "json", fallback=None),
+        geometry=g, base=base, h_override=h_override, perturb=perturb,
+        solver=SolveOptions(**_given_fields(cp, "solver", SolveOptions,
+                                            _SECTIONS["solver"])),
+        **schedule, **{f"{key}_path": val for key, val in output.items()},
         config_text=text)
 
 
@@ -409,10 +418,8 @@ def _perturbed_data(cfg, eps):
     for key, (shape, norm) in cfg.perturb.items():
         scale = eps / norm
         if key == "potential":
-            pot = Potential(
-                lambda s, b=pot, q=shape, c=scale: b.func(s) + c * q.func(s),
-                lambda s, b=pot, q=shape, c=scale: b.deriv(s) + c * q.deriv(s),
-                lambda s, b=pot, q=shape, c=scale: b.deriv2(s) + c * q.deriv2(s))
+            pot = Potential(*(b + scale * q for b, q in
+                              zip(astuple(pot), astuple(shape))))
         elif key == "sigma":
             sigma = sigma + scale * shape.values
         else:
@@ -450,8 +457,7 @@ def run_sweep(cfg: SweepConfig):
     for alpha, eps in zip(cfg.alphas, cfg.epsilons):
         data = _perturbed_data(cfg, eps)
         C = normalize(data, h_override=cfg.h_override)
-        opts = SolveOptions(**{**cfg.solver.__dict__, "initial_guess": warm})
-        sol = solve_system(C, opts)
+        sol = solve_system(C, replace(cfg.solver, initial_guess=warm))
         LW = conformal_killing_deriv(sol.W)
         _, B = coefficients(data)
         rows.append(SweepRow(
@@ -489,39 +495,21 @@ def _classify_trajectory(cfg, rows):
 # instability demo
 # ---------------------------------------------------------------------------
 
-def _instability_point(args):
+def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
+                         resolution=4096):
+    """Assemble and verify the blow-up family at each lam; returns rows."""
     from .geometry import SphereRadial
     from .instability import assemble, verify
 
-    lam, resolution, eta = args
-    rep = verify(assemble(lam, eta, SphereRadial(resolution)))
-    return {
-        "lambda": lam,
-        "sup_phi": rep.sup_phi,
-        "sup_phi_closed_form": rep.sup_phi_closed_form,
-        "scalar_residual": rep.scalar_residual,
-        "vector_residual": rep.vector_residual,
-        "norm_U": rep.norm_U,
-        "norm_Y": rep.norm_Y,
-        "cancellation": rep.cancellation,
-    }
-
-
-def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
-                         resolution=4096, eta=None, workers=None):
-    """Assemble and verify the blow-up family at each lam; returns rows."""
     lambdas = sorted(lambdas, reverse=True)
     if any(lam <= 1.0 for lam in lambdas):
         raise ValueError("all lambda values must exceed 1")
-    args = [(lam, resolution, eta) for lam in lambdas]
-    workers = workers or worker_count()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_instability_point, args))
-    else:
-        rows = [_instability_point(a) for a in args]
+    keys = ("sup_phi", "sup_phi_closed_form", "scalar_residual",
+            "vector_residual", "norm_U", "norm_Y", "cancellation")
+    rows = []
+    for lam in lambdas:
+        rep = verify(assemble(lam, geometry=SphereRadial(resolution)))
+        rows.append({"lambda": lam, **{k: getattr(rep, k) for k in keys}})
     return rows
 
 

@@ -20,13 +20,13 @@ preconditioner, so the whole pipeline stays deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .conformal import SystemCoefficients, critical_exponent
+from .conformal import critical_exponent
 from .geometry import (
     OneFormField,
     ScalarField,
@@ -92,8 +92,11 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol_residual <= 0.0 or self.u_floor <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_residual < np.inf
+                and 0.0 < self.u_floor < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if self.max_outer < 1 or self.max_newton < 1:
+            raise ValueError("iteration limits must be at least 1")
         if self.coercivity_check not in ("strict", "weak", "off"):
             raise ValueError("coercivity_check must be strict, weak or off")
 
@@ -183,7 +186,7 @@ def _lanczos_smallest_ritz(apply_op, shape, iterations=20):
 
 
 def _newton_apply(g, diag, v):
-    return laplace_beltrami(ScalarField(g, v)).values + diag * v
+    return g.laplacian(v) + diag * v
 
 
 def check_coercivity(C, mode="strict"):
@@ -331,13 +334,11 @@ def solve_system(C, opts: Optional[SolveOptions] = None):
     W, kdef = solve_momentum(u, C)
 
     inner_tol = max(0.05 * opts.tol_residual, 1e-12)
-    inner_opts = SolveOptions(**{**opts.__dict__, "coercivity_check": "off",
-                                 "initial_guess": None,
-                                 "tol_residual": inner_tol})
     scal_res = mom_res = np.inf
     for it in range(1, opts.max_outer + 1):
-        inner_opts.initial_guess = u
-        u_new = solve_scalar(W, C, inner_opts)
+        u_new = solve_scalar(W, C, replace(
+            opts, coercivity_check="off", initial_guess=u,
+            tol_residual=inner_tol))
         # damping guards the strongly nonlinear u^{2*} feedback early on;
         # near the fixed point full steps restore fast linear convergence
         damp = opts.damping if max(scal_res, mom_res) > 1e-6 else 1.0

@@ -73,10 +73,6 @@ class TestConstants:
         assert blowup_constants(6).stability_coef == pytest.approx(0.2)
         assert blowup_constants(4).stability_coef == 0.0
 
-    def test_bubble_energy_n3_closed_form(self):
-        expected = 2.0 ** -3 * 3.0 ** 1.5 * (2 * np.pi ** 2)
-        assert abs(blowup_constants(3).bubble_energy - expected) < 1e-9
-
     def test_bubble_energy_is_profile_mass(self):
         # direct radial quadrature of the B^{2*} integral at f0 = 1
         for n in (3, 5):
@@ -86,17 +82,6 @@ class TestConstants:
             mass = sphere_area(n - 1) * val
             assert mass == pytest.approx(blowup_constants(n).bubble_energy,
                                          rel=1e-10)
-
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_stability_coef_quadrature_identity(self, n):
-        # (n-2)/2 * bubble_energy / integral((1 + |x|^2/(n(n-2)))^{2-n})
-        c = 1.0 / (n * (n - 2.0))
-        val, err = quad1d(
-            lambda s: s ** (n - 1) * (1 + c * s * s) ** (2.0 - n), 0.0, np.inf)
-        integral = sphere_area(n - 1) * val
-        consts = blowup_constants(n)
-        lhs = 0.5 * (n - 2.0) * consts.bubble_energy / integral
-        assert abs(lhs - consts.stability_coef) < 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lichlab.conformal import (
-    InitialDataSet,
     PhysicsData,
     Potential,
     classify,
@@ -54,8 +53,7 @@ class TestCoefficients:
     def test_direct_evaluation_n4(self):
         g = Torus(4, 8)
         D = make_data(g, psi=2.0, tau=1.0,
-                      potential=Potential(lambda s: s ** 2, lambda s: 2 * s,
-                                          lambda s: 2.0 + 0 * s))
+                      potential=Potential.quadratic(c2=2))
         _, B = coefficients(D)
         assert np.allclose(B.values, 2.0 * 4.0 - 0.75)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lichlab.diagnostics as diagnostics
 from lichlab.bubbles import BubbleParams, bubble, standard_profile
 from lichlab.conformal import SystemCoefficients
 from lichlab.diagnostics import (
@@ -109,6 +110,26 @@ class TestPohozaev:
             defects.append(rep.defect)
         assert defects[0] < 1e-4
         assert defects[0] / defects[1] > 16.0     # at least 4th order
+
+    def test_constant_coefficients_are_not_interpolated(self, monkeypatch):
+        # h, f and a are constant: only v and its three derivatives go
+        # through map_coordinates, once at the interior nodes and once on
+        # the boundary sphere
+        calls = []
+        real = diagnostics.map_coordinates
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "map_coordinates", counted)
+        p = BubbleParams(n=3, mu=1.0, f_center=3.0)
+        g = Chart(3, 33, extent=1.3)
+        v = ScalarField(g, bubble(p, chart_points(g)))
+        rep = pohozaev_defect(v, chart_coeffs(g, h=0.3, f=3.0, b=0.1),
+                              np.zeros(3), 1.0)
+        assert len(calls) == 8
+        assert rep.K1 != 0.0 and rep.K3 != 0.0
 
     def test_term_breakdown_sums(self):
         p = BubbleParams(n=3, mu=1.0, f_center=3.0)

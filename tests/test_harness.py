@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import lichlab.harness as harness
 from lichlab.cli import main as cli_main
+from lichlab.conformal import Potential
 from lichlab.geometry import OneFormField, Torus
 from lichlab.harness import (
     SweepConfig,
@@ -175,6 +176,33 @@ class TestSweep:
             pytest.approx(0.12, abs=1e-12)
 
 
+class TestPotentialNorm:
+    def test_focusing_shape_norm(self, focusing_cfg):
+        # V = s^2 / 2 on [-3, 3]: sup|V| = 4.5 beats sup|V'| = 3, |V''| = 1
+        assert focusing_cfg.perturb["potential"][1] == 4.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+    def test_closed_form_matches_dense_reference(self, coefs):
+        pot = Potential.quadratic(*coefs)
+        c0, c1, c2 = coefs
+
+        def sampled(s):
+            return max(float(np.max(np.abs(pot(s)))),
+                       float(np.max(np.abs(c1 + c2 * s))), abs(c2))
+
+        dense = np.linspace(-3.0, 3.0, 60001)
+        if c2 != 0.0 and abs(c1) <= 3.0 * abs(c2):
+            dense = np.append(dense, -c1 / c2)
+        norm = harness._potential_c2_norm(pot)
+        scale = abs(c0) + 3.0 * abs(c1) + 4.5 * abs(c2)
+        assert norm == pytest.approx(sampled(dense), rel=1e-13,
+                                     abs=1e-13 * scale)
+        # a 2,001-point sample can miss the vertex, but never exceeds the
+        # closed form beyond roundoff
+        assert norm >= sampled(np.linspace(-3.0, 3.0, 2001)) - 1e-13 * scale
+
+
 class TestInstabilityDemo:
     def test_rows_and_monotonicity(self):
         rows = run_instability_demo((1.5, 1.1), resolution=1024)
@@ -293,11 +321,23 @@ class TestOutputs:
 _RECIPES = ["constant(value={})", "cosine(k={}, offset={})", "sine(amp={})",
             "lorentz(axis={}, c={})", "quadratic(c2={})", "zero(xy={})",
             "constant_tensor(xy={}, zz={})", "wavelet(a={})"]
+# each section's keys, the last one misspelled
+_KEYS = {"geometry": ["kind", "dimension", "resolution", "period",
+                      "resolutoin"],
+         "data": ["psi", "tau", "h", "sigma", "potential", "tua"],
+         "schedule": ["alphas", "perturb_tau", "perturb_potential",
+                      "perturb_tua"],
+         "solver": ["damping", "max_outer", "tol_residual", "dampng"]}
 _ENTRIES = {"kind": ["torus", "sphere"], "dimension": ["3", "4", "2", "x"],
             "resolution": ["8", "9", "7", "abc"], "period": ["6.28", "0"],
             "alphas": ["1 2 3", "3 2", "a"], "damping": ["0.7", "2", "x"],
+            "max_outer": ["80", "0", "1.5"],
+            "tol_residual": ["1e-10", "nan", "-1"],
             "psi": _RECIPES, "tau": _RECIPES, "h": _RECIPES,
-            "sigma": _RECIPES, "potential": _RECIPES}
+            "sigma": _RECIPES, "potential": _RECIPES,
+            "perturb_tau": _RECIPES, "perturb_potential": _RECIPES,
+            "resolutoin": ["8"], "tua": ["1"], "perturb_tua": ["1"],
+            "dampng": ["0.7"]}
 _VALUES = ["1", "-1", "0", "1.5", "3", "2:0:0", "0:1", "1:0:0:0:0", "1:",
            "nan", "inf", "", "abc", "%"]
 
@@ -310,7 +350,7 @@ def _ini_text(draw):
     for name in ("geometry", "data", "schedule", "solver"):
         if draw(st.sampled_from([True, True, True, False])):
             lines.append(f"[{name}]")
-            for key in draw(st.lists(st.sampled_from(sorted(_ENTRIES)),
+            for key in draw(st.lists(st.sampled_from(_KEYS[name]),
                                      max_size=5, unique=True)):
                 args = draw(st.lists(st.sampled_from(_VALUES), min_size=2,
                                      max_size=2))
@@ -339,6 +379,14 @@ class TestMalformedInput:
         "[geometry]\nperiod = 0\n[data]\n",
         "[geometry]\ndimension = 5\nresolution = 8\n"
         "[data]\nsigma = constant_tensor(xy=1)\n",
+        "[geometry]\n[data]\n[schedule]\n"
+        "perturb_tua = cosine(amp=1.0, k=0:2:0)\n",
+        "[geometry]\n[data]\n[solver]\ntol_residul = 1e-12\n",
+        "[geometry]\n[data]\n[solvr]\ntol_residual = 1e-12\n",
+        "[geometry]\n[data]\n[solver]\ntol_residual = nan\n",
+        "[geometry]\n[data]\n[solver]\nmax_outer = 0\n",
+        "[geometry]\n[data]\n[solver]\nu_floor = inf\n",
+        "[geometry]\n[data]\n[solver]\nmax_newton = 0\n",
     ])
     def test_malformed_config_raises_value_error(self, tmp_path, text):
         path = tmp_path / "bad.ini"
@@ -346,12 +394,13 @@ class TestMalformedInput:
         with pytest.raises(ValueError):
             load_config(str(path))
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-    def test_worker_count_rejects_non_positive_integers(self, monkeypatch,
-                                                        value):
-        monkeypatch.setenv(harness.WORKERS_ENV, value)
-        with pytest.raises(ValueError):
-            harness.worker_count()
+    def test_unset_keys_keep_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text("[geometry]\nresolution = 8\n[data]\n")
+        cfg = load_config(str(path))
+        assert cfg.geometry == Torus(3, 8)
+        assert cfg == SweepConfig(geometry=cfg.geometry, base=cfg.base,
+                                  config_text=cfg.config_text)
 
     @settings(max_examples=500, deadline=None)
     @given(_ini_text())

@@ -1,10 +1,13 @@
-"""The pytest settings in pyproject.toml."""
+"""Repository settings: the pytest settings in pyproject.toml, and no
+unused imports in the package, its tests and its demos."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 ONE_FAILING_ONE_PASSING = '''
 from hypothesis import given, strategies as st
@@ -30,3 +33,35 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
          "-p", "no:cacheprovider", "test_two.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "1 failed, 1 passed" in run.stdout, run.stdout[-2000:]
+
+
+def unused_imports(path):
+    """Names a module imports and never reads.
+
+    ``__future__`` imports and the names listed in ``__all__`` do not count.
+    """
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # __init__.py files import to re-export
+    paths = [p for d in ("src", "tests", "demos")
+             for p in sorted((ROOT / d).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(paths) > 20
+    unused = [u for p in paths for u in unused_imports(p)]
+    assert not unused, unused

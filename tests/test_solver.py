@@ -11,7 +11,6 @@ from lichlab.geometry import (
     SymTensorField,
     Torus,
     h1_norm_squared,
-    lame,
 )
 from lichlab.solver import (
     DegenerateDataError,
