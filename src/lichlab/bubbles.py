@@ -9,7 +9,11 @@ momentum response to a one-form coefficient X is captured by convolution
 one-forms whose conformal Killing derivatives admit explicit far-field
 expansions; both the direct quadrature (``quad_LV`` / ``quad_LP``) and the
 closed-form leading terms (``asympt_LV`` / ``asympt_LP``) are provided so
-that each can serve as the other's oracle.
+that each can serve as the other's oracle.  The quadrature integrates
+``green.stress_contraction``, the Lame kernel's Killing-derivative stress,
+over ``quadrature.singular_shells``: a polar patch about the evaluation
+point and bubble-centered shells, the same partition of unity as the
+representation probe in ``green``.
 
 Constants (omega_d = area of the d-sphere in R^{d+1}):
 
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, beta as beta_fn
 
-from .quadrature import gauss_panels, smoothstep, sphere_area, unit_sphere_rule
+from .green import _kappa, stress_contraction
+from .quadrature import singular_shells, sphere_area, unit_sphere_rule
 
 __all__ = [
     "BubbleParams",
@@ -219,25 +224,6 @@ class QuadResult:
         return np.asarray(self.matrix, dtype=dtype)
 
 
-def _stress_contraction(n, w, vec):
-    """H_{ij,p}(w) vec^p for w of shape (M, n); returns (M, n, n).
-
-    H is the Killing-derivative stress of the Lame fundamental solution,
-    H_{ij,p} = 2 n kappa |w|^{1-n} [d_ij w^_p - w^_i d_jp - w^_j d_ip
-                                    - (n-2) w^_i w^_j w^_p].
-    """
-    kappa = 1.0 / (4.0 * (n - 1.0) * sphere_area(n - 1))
-    r = np.linalg.norm(w, axis=-1)
-    wh = w / r[:, None]
-    d = np.eye(n)
-    zd = wh @ vec
-    out = (d[None, :, :] * zd[:, None, None]
-           - wh[:, :, None] * vec[None, None, :]
-           - wh[:, None, :] * vec[None, :, None]
-           - (n - 2.0) * zd[:, None, None] * wh[:, :, None] * wh[:, None, :])
-    return 2.0 * n * kappa * (r ** (1.0 - n))[:, None, None] * out
-
-
 def _profile_power(p, pts):
     """B^{2*}(pts) for pts of shape (M, n)."""
     r2 = np.sum((pts - p.center) ** 2, axis=-1)
@@ -268,54 +254,29 @@ def _moment_quadrature(p, z, vec, spec, moment_axis=None):
     rho = 0.5 * dist
     trunc = max(spec.trunc_factor * p.mu, 5.0 * dist)
 
-    def m_weight(pts):
-        if moment_axis is None:
-            return np.ones(pts.shape[0])
-        return pts[:, moment_axis] - p.center[moment_axis]
-
-    total = np.zeros((n, n))
-
-    # patch centered at the kernel singularity; in polar coordinates about z
-    # the |w|^{1-n} kernel is cancelled by the measure
-    dirs, angw = unit_sphere_rule(n, spec.patch_polar_order,
-                                  spec.patch_azimuth_order)
-    redges = np.concatenate([[0.0], np.geomspace(1e-3 * rho, 1.5 * rho, 12)])
-    rn, rw = gauss_panels(redges, spec.radial_order)
-    for r, wr in zip(rn, rw):
-        chi = 1.0 - smoothstep((r / rho - 1.0) / 0.5)
-        if chi == 0.0:
-            continue
-        w = r * dirs                               # w = z - y
-        y = z[None, :] - w
-        H = _stress_contraction(n, w, vec)
-        fac = angw * _profile_power(p, y) * m_weight(y) * chi
-        total += wr * r ** (n - 1.0) * np.einsum("a,aij->ij", fac, H)
-
-    # bulk: bubble-centered radial panels out to the truncation radius,
-    # complementary partition weight
-    dirs, angw = unit_sphere_rule(n, spec.polar_order, spec.azimuth_order)
+    # bulk: bubble-centered radial panels out to the truncation radius
     edges = [0.0, 0.5 * p.mu]
     while edges[-1] < trunc:
         edges.append(min(2.0 * edges[-1], trunc))
     extra = [dist - rho, dist, dist + rho]
     edges = np.unique(np.concatenate([edges, [e for e in extra if e < trunc]]))
-    rn, rw = gauss_panels(edges, spec.radial_order)
-    for r, wr in zip(rn, rw):
-        y = p.center[None, :] + r * dirs
-        w = z[None, :] - y
-        dw = np.linalg.norm(w, axis=-1)
-        comp = smoothstep((dw / rho - 1.0) / 0.5)
-        mask = comp > 0.0
-        if not np.any(mask):
-            continue
-        H = _stress_contraction(n, w[mask], vec)
-        fac = (angw[mask] * _profile_power(p, y[mask])
-               * m_weight(y[mask]) * comp[mask])
-        total += wr * r ** (n - 1.0) * np.einsum("a,aij->ij", fac, H)
+
+    # the patch about z has geometric panels toward the singularity
+    total = np.zeros((n, n))
+    for y, wt in singular_shells(
+            z, rho, spec.radial_order,
+            np.concatenate([[0.0], np.geomspace(1e-3 * rho, 1.5 * rho, 12)]),
+            unit_sphere_rule(n, spec.patch_polar_order,
+                             spec.patch_azimuth_order),
+            p.center, edges,
+            unit_sphere_rule(n, spec.polar_order, spec.azimuth_order)):
+        fac = wt * _profile_power(p, y)
+        if moment_axis is not None:
+            fac = fac * (y[:, moment_axis] - p.center[moment_axis])
+        total += np.einsum("a,aij->ij", fac, stress_contraction(z - y, vec))
 
     # analytic far-field tail bound
-    kappa = 1.0 / (4.0 * (n - 1.0) * sphere_area(n - 1))
-    c_h = 2.0 * n * kappa * n * (n + 2.0)
+    c_h = 2.0 * n * _kappa(n) * n * (n + 2.0)
     moment = 0 if moment_axis is None else 1
     tail = c_h * (trunc - dist) ** (1.0 - n) * _tail_mass(p, trunc, moment)
     if tail > spec.tail_tol:

@@ -99,7 +99,7 @@ class PhysicsData:
         if tr > _TRACE_TOL:
             warnings.warn(
                 f"sigma has g-trace defect {tr:.3e}; the general system only "
-                "needs a symmetric U, continuing", stacklevel=2)
+                "needs a symmetric U, continuing", stacklevel=3)
 
     @property
     def geometry(self):

@@ -40,13 +40,13 @@ from .geometry import (
     ScalarField,
     SymTensorField,
     _check_geometry,
+    _trace_free_sym,
     conformal_killing_deriv,
     lame,
     laplace_beltrami,
-    sym_index,
     sym_weights,
 )
-from .quadrature import gauss_panels, unit_sphere_rule
+from .quadrature import ball_rule, unit_sphere_rule
 
 __all__ = [
     "PohozaevReport",
@@ -165,11 +165,8 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     dirs, angw = unit_sphere_rule(n, _POLAR_ORDER, _AZIMUTH_ORDER)
 
     # interior: radial-angular quadrature with lap v from the equation
-    edges = np.linspace(0.0, radius, _PANELS + 1)
-    rn, rw = gauss_panels(edges, _RADIAL_ORDER)
-    pts = (center[None, None, :] + rn[:, None, None] * dirs[None, :, :])
-    pts = pts.reshape(-1, n)
-    w = ((rw * rn ** (n - 1.0))[:, None] * angw[None, :]).ravel()
+    pts, w = ball_rule(n, radius, _PANELS, _RADIAL_ORDER, (dirs, angw),
+                       center)
     vv = interp_v(pts)
     gv = np.stack([ip(pts) for ip in interp_g], axis=-1)
     if direction is None:
@@ -216,26 +213,20 @@ def _conformal_scalar_laplacian(g, phi, v):
     return phi ** (2.0 - p) * g.laplacian(v) - phi ** (-p) * cross
 
 
-def _conformal_killing(g, phi, s, X_vals):
-    """L_g X for the conformal metric, s its log-gradient, via Christoffels."""
-    n = g.dimension
-    dX = g.grad(X_vals)                     # dX[i, j] = d_i X_j
-    sX = np.einsum("a...,a...->...", s, X_vals)
-    div_flat = np.einsum("aa...->...", dX)
-    div_g = phi ** (-4.0 / (n - 2.0)) * (div_flat + (n - 2.0) * sX)
-    conf = phi ** (4.0 / (n - 2.0))
-    out = np.empty((n * (n + 1) // 2,) + g.grid_shape)
-    for a, (i, j) in enumerate(sym_index(n)):
-        nab = dX[i, j] + dX[j, i] - 2.0 * (s[j] * X_vals[i] + s[i] * X_vals[j])
-        if i == j:
-            nab = nab + 2.0 * sX - (2.0 / n) * div_g * conf
-        out[a] = nab
-    return out
+def _conformal_killing(g, s, X_vals):
+    """L_g X for the conformal metric, s its log-gradient.
+
+    With nabla~_i X_j = d_i X_j - s_i X_j - s_j X_i + d_ij s.X, whose last
+    term is pure trace, L_g X is the trace-free symmetric part of
+    d_i X_j - 2 s_i X_j.
+    """
+    return _trace_free_sym(g.grad(X_vals)
+                           - 2.0 * s[:, None] * X_vals[None, :])
 
 
 def _conformal_lame(g, phi, s, X_vals):
     """lame_g X for the conformal metric: -div_g of the Killing derivative."""
-    full = SymTensorField(g, _conformal_killing(g, phi, s, X_vals)).full()
+    full = SymTensorField(g, _conformal_killing(g, s, X_vals)).full()
     inv_conf = phi ** (-4.0 / (g.dimension - 2.0))
     return -inv_conf * _conformal_divergence(g, full, s)
 
@@ -278,7 +269,7 @@ def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
     resc = OneFormField(g, phi ** (-w) * X.values)
     L_resc = conformal_killing_deriv(resc)
     lhs2 = phi ** w * L_resc.values
-    rhs2 = _conformal_killing(g, phi, s, X.values)
+    rhs2 = _conformal_killing(g, s, X.values)
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
 
     # Lame identity; 2* d log phi = n s

@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_panels, smoothstep, sphere_area, unit_sphere_rule
+from .quadrature import ball_rule, singular_shells, sphere_area, unit_sphere_rule
 
 __all__ = [
     "fundamental",
+    "stress_contraction",
     "stress_kernel",
     "lame_of_columns",
     "KillingBasis",
@@ -56,24 +57,36 @@ def fundamental(y, n):
     return _kappa(n) * r[..., None, None] ** (2.0 - n) * out
 
 
-def stress_kernel(x, y, n):
-    """Killing-derivative stress H_{ij,p}(x, y) of the fundamental matrix.
+def stress_contraction(w, vec):
+    """H_{ij,p}(w) vec^p, shape (..., n, n), for w = x - y of shape (..., n).
 
-    H_{ij,p} = d_i G_j(x-y)_p + d_j G_i(x-y)_p - (2/n) d_ij sum_k d_k G_k(x-y)_p,
-    closed form; traceless in (i, j); derivatives with respect to x.
+    H is the Killing-derivative stress of the fundamental matrix,
+    H_{ij,p} = d_i G_j(w)_p + d_j G_i(w)_p - (2/n) d_ij sum_k d_k G_k(w)_p
+    with derivatives in x, traceless in (i, j); in closed form
+
+        H_{ij,p} = 2 n kappa |w|^{1-n} [d_ij w^_p - w^_i d_jp - w^_j d_ip
+                                        - (n-2) w^_i w^_j w^_p].
     """
-    w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n = w.shape[-1]
     r = np.linalg.norm(w, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("stress kernel is singular at x = y")
     wh = w / r[..., None]
-    d = np.eye(n)
-    T = (d[..., :, :, None] * wh[..., None, None, :]
-         - wh[..., :, None, None] * d[..., None, :, :]
-         - wh[..., None, :, None] * np.swapaxes(d[..., None, :, :], -3, -2)
-         - (n - 2.0) * wh[..., :, None, None] * wh[..., None, :, None]
-         * wh[..., None, None, :])
-    return 2.0 * n * _kappa(n) * r[..., None, None, None] ** (1.0 - n) * T
+    zd = wh @ vec
+    out = (np.eye(n) * zd[..., None, None]
+           - wh[..., :, None] * vec
+           - vec[:, None] * wh[..., None, :]
+           - (n - 2.0) * zd[..., None, None] * wh[..., :, None]
+           * wh[..., None, :])
+    return 2.0 * n * _kappa(n) * (r ** (1.0 - n))[..., None, None] * out
+
+
+def stress_kernel(x, y, n):
+    """Full stress H_{ij,p}(x, y), shape (..., n, n, n): the contraction
+    with each basis vector e_p, stacked on the last axis."""
+    w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return np.stack([stress_contraction(w, e) for e in np.eye(n)], axis=-1)
 
 
 # 4th-order central differences on the offsets -2..2: first-derivative
@@ -161,14 +174,9 @@ class BallQuadrature:
     panels: int = 4
 
     def __post_init__(self):
-        dirs, angw = unit_sphere_rule(self.n, self.polar_order,
-                                      self.azimuth_order)
-        edges = np.linspace(0.0, self.radius, self.panels + 1)
-        rn, rw = gauss_panels(edges, self.radial_order)
-        pts = rn[:, None, None] * dirs[None, :, :]
-        wts = (rw * rn ** (self.n - 1))[:, None] * angw[None, :]
-        self.points = pts.reshape(-1, self.n)
-        self.weights = wts.ravel()
+        self.points, self.weights = ball_rule(
+            self.n, self.radius, self.panels, self.radial_order,
+            unit_sphere_rule(self.n, self.polar_order, self.azimuth_order))
 
     @property
     def node_count(self):
@@ -271,19 +279,11 @@ def representation_residual(X, x, n, radius=1.0, level=0):
     npolar = 24 + 8 * level
     nrad = 20 + 4 * level
     rho = 0.25 * radius
-    dirs, angw = unit_sphere_rule(n, npolar, 2 * npolar)
+    rule = unit_sphere_rule(n, npolar, 2 * npolar)
     total = np.zeros(n)
-    for center, outer, patch in ((x, 1.5 * rho, True),
-                                 (np.zeros(n), radius, False)):
-        rn, rw = gauss_panels(np.linspace(0.0, outer, 7), nrad)
-        for r, wr in zip(rn, rw):
-            y = center - r * dirs
-            w = x - y
-            cut = smoothstep((np.linalg.norm(w, axis=-1) / rho - 1.0) / 0.5)
-            wt = angw * (1.0 - cut if patch else cut)
-            mask = wt > 0.0
-            if np.any(mask):
-                total += wr * r ** (n - 1.0) * np.einsum(
-                    "M,Mij,Mj->i", wt[mask], fundamental(w[mask], n),
-                    _lame_fd(X, y[mask], h, n))
+    for y, wt in singular_shells(x, rho, nrad, np.linspace(0.0, 1.5 * rho, 7),
+                                 rule, np.zeros(n),
+                                 np.linspace(0.0, radius, 7), rule):
+        total += np.einsum("M,Mij,Mj->i", wt, fundamental(x - y, n),
+                           _lame_fd(X, y, h, n))
     return float(np.max(np.abs(np.asarray(X(x[None, :])[0]) - total)))

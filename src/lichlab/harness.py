@@ -277,6 +277,8 @@ class SweepConfig:
     config_text: str = ""
 
     def __post_init__(self):
+        if not self.alphas:
+            raise ValueError("schedule needs at least one alpha")
         eps = [2.0 ** (-a) for a in self.alphas]
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("schedule must be strictly decreasing")

@@ -141,36 +141,21 @@ def solve_Z(lam, grid, rtol=1e-12, atol=1e-13):
 # ---------------------------------------------------------------------------
 
 def _moll(t):
+    """exp(-1/t) for t > 0, else 0, and its first two derivatives."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    out = np.zeros((3,) + t.shape)
     m = t > 0.0
-    out[m] = np.exp(-1.0 / t[m])
-    return out
-
-
-def _moll_d1(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = t > 0.0
-    out[m] = np.exp(-1.0 / t[m]) / t[m] ** 2
-    return out
-
-
-def _moll_d2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = t > 0.0
-    out[m] = np.exp(-1.0 / t[m]) * (1.0 / t[m] ** 4 - 2.0 / t[m] ** 3)
+    tm, e = t[m], np.exp(-1.0 / t[m])
+    out[:, m] = e, e / tm ** 2, e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
     return out
 
 
 def _smooth_step(t):
     """C^inf step S with S = 0 for t <= 0, 1 for t >= 1, and S', S''."""
-    a, b = _moll(t), _moll(1.0 - np.asarray(t, dtype=float))
-    ap, bp = _moll_d1(t), -_moll_d1(1.0 - np.asarray(t, dtype=float))
-    app, bpp = _moll_d2(t), _moll_d2(1.0 - np.asarray(t, dtype=float))
+    a, ap, app = _moll(t)
+    b, bp, bpp = _moll(1.0 - np.asarray(t, dtype=float))    # b' = -bp
     q = a + b
-    qp = ap + bp
+    qp = ap - bp
     qpp = app + bpp
     S = a / q
     Sp = (ap * q - a * qp) / q ** 2

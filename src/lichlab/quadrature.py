@@ -1,4 +1,6 @@
-"""Shared quadrature rules: n-sphere product rules, radial panels, cutoffs."""
+"""Shared quadrature rules: n-sphere product rules, radial panels, cutoffs,
+ball rules and the partition-of-unity shells for kernels singular at a
+point."""
 
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ __all__ = [
     "unit_sphere_rule",
     "gauss_panels",
     "smoothstep",
+    "ball_rule",
+    "singular_shells",
 ]
 
 
@@ -61,3 +65,47 @@ def smoothstep(t):
     """C^3 polynomial step: 0 for t <= 0, 1 for t >= 1."""
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     return t ** 4 * (35.0 - 84.0 * t + 70.0 * t ** 2 - 20.0 * t ** 3)
+
+
+def ball_rule(n, radius, panels, radial_order, rule, center=0.0):
+    """Gauss radial panels times the sphere rule (directions, weights).
+
+    Returns (points (M, n), weights (M,)) on the ball of given radius
+    about center, weights including the polar Jacobian r^{n-1}.
+    """
+    dirs, angw = rule
+    rn, rw = gauss_panels(np.linspace(0.0, radius, panels + 1), radial_order)
+    pts = center + rn[:, None, None] * dirs[None, :, :]
+    wts = (rw * rn ** (n - 1.0))[:, None] * angw[None, :]
+    return pts.reshape(-1, n), wts.ravel()
+
+
+def singular_shells(x, rho, order, patch_edges, patch_rule, bulk_center,
+                    bulk_edges, bulk_rule):
+    """Partition-of-unity quadrature for an integrand singular at x.
+
+    Yields (points (M, n), weights (M,)) per Gauss shell: first the shells
+    of a polar patch about x, weighted by 1 - smoothstep((|x-y|/rho - 1)/0.5),
+    whose r^{n-1} measure cancels a |x-y|^{1-n} singularity; then shells
+    about bulk_center weighted by the complement.  Radii are Gauss nodes
+    of the given order over each edge list, directions come from each
+    (directions, weights) sphere rule.  Nodes of zero weight are dropped,
+    and a shell with none left is skipped.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    dirs, angw = patch_rule
+    rn, rw = gauss_panels(patch_edges, order)
+    for r, wr in zip(rn, rw):
+        chi = 1.0 - smoothstep((r / rho - 1.0) / 0.5)     # |x - y| = r
+        if chi > 0.0:
+            yield x - r * dirs, wr * r ** (n - 1.0) * chi * angw
+    dirs, angw = bulk_rule
+    rn, rw = gauss_panels(bulk_edges, order)
+    for r, wr in zip(rn, rw):
+        y = bulk_center - r * dirs
+        wt = wr * r ** (n - 1.0) * angw * smoothstep(
+            (np.linalg.norm(x - y, axis=-1) / rho - 1.0) / 0.5)
+        keep = wt > 0.0
+        if np.any(keep):
+            yield y[keep], wt[keep]

@@ -239,8 +239,9 @@ def solve_scalar(W, C, opts: SolveOptions):
         def precond(x):
             return g.irfft(inv_symbol * g.rfft(x.reshape(shape))).ravel()
 
-        op = spla.LinearOperator((size, size), matvec=matvec)
-        M = spla.LinearOperator((size, size), matvec=precond)
+        # with a dtype, scipy does not probe each operator with a zero vector
+        op = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+        M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
         delta, info = spla.minres(op, -res.ravel(), M=M,
                                   rtol=1e-12, maxiter=400)
         if info != 0:

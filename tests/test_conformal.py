@@ -104,8 +104,10 @@ class TestNormalize:
     def test_sigma_trace_defect_warns(self, torus):
         vals = np.zeros((6,) + torus.grid_shape)
         vals[0] = 1.0    # trace defect
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             make_data(torus, sigma=SymTensorField(torus, vals))
+        # the warning points at the code that built the data
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestSphereCoefficients:

@@ -375,6 +375,7 @@ class TestMalformedInput:
         "[geometry]\n[data]\npsi = cosine(amplitude=5)\n",
         "[geometry]\n[data]\n[schedule]\nperturb_tau = wavelet(a=1)\n",
         "[geometry]\n[data]\n[schedule]\nperturb_psi = constant(value=0)\n",
+        "[geometry]\n[data]\n[schedule]\nalphas =\n",
         "[geometry]\n[data]\npsi = lorentz(axis=3)\n",
         "[geometry]\nperiod = 0\n[data]\n",
         "[geometry]\ndimension = 5\nresolution = 8\n"

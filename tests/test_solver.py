@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import brentq
 
 import lichlab.solver as solver
@@ -116,6 +117,22 @@ class TestScalar:
             solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
                          SolveOptions(initial_guess=2.0))
         assert len(calls) == 1
+
+    def test_transforms_see_only_float_vectors(self, monkeypatch):
+        # an operator built without a dtype is probed by scipy with an int8
+        # zero vector: one wasted matvec and preconditioner apply per step
+        rfftn = scipy.fft.rfftn
+        dtypes = []
+
+        def recording(values, *args, **kwargs):
+            dtypes.append(np.asarray(values).dtype)
+            return rfftn(values, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", recording)
+        g = Torus(3, 8)
+        solve_scalar(OneFormField.zero(g), make_coeffs(g),
+                     SolveOptions(initial_guess=2.0))
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     def test_noncoercive_rejected(self, torus16):
         C = make_coeffs(torus16, h=-1.0)
