@@ -273,7 +273,7 @@ def _moment_quadrature(p, z, vec, spec, moment_axis=None):
         fac = wt * _profile_power(p, y)
         if moment_axis is not None:
             fac = fac * (y[:, moment_axis] - p.center[moment_axis])
-        total += np.einsum("a,aij->ij", fac, stress_contraction(z - y, vec))
+        total += stress_contraction(z - y, vec, weights=fac)
 
     # analytic far-field tail bound
     c_h = 2.0 * n * _kappa(n) * n * (n + 2.0)

@@ -34,8 +34,9 @@ from .geometry import (
     Torus,
     conformal_killing_deriv,
     gradient,
-    laplace_beltrami,
+    _sym_rows,
     sym_index,
+    tensor_norm_squared,
     tensor_trace,
 )
 
@@ -229,8 +230,14 @@ def _conformal_log_gradient(g, phi):
     return (2.0 / (g.dimension - 2.0)) * g.grad(np.log(phi))
 
 
-def _conformal_divergence(g, T_full, s):
-    """delta^{jk} nabla~_j T_{ki} of a covariant 2-tensor (n, n, *grid).
+def _row_contraction(s, T):
+    """s^l T_{li} of a one-form s and a packed symmetric tensor T."""
+    return np.stack([np.einsum("l...,l...->...", s, T[row])
+                     for row in _sym_rows(len(s))])
+
+
+def _conformal_divergence(g, T, s):
+    """delta^{jk} nabla~_j T_{ki} of a packed symmetric 2-tensor (m, *grid).
 
     For g~_ij = e^{2 sigma} delta_ij with s_i = d_i sigma the connection is
     Gamma^l_{jk} = d^l_j s_k + d^l_k s_j - d_{jk} s_l, so the covariant
@@ -238,11 +245,31 @@ def _conformal_divergence(g, T_full, s):
     corrections.
     """
     n = g.dimension
-    trT = np.einsum("ii...->...", T_full)                  # flat trace
-    sT = np.einsum("l...,li...->i...", s, T_full)          # s^l T_{li}
+    rows = _sym_rows(n)
+    trT = sum(T[rows[i][i]] for i in range(n))                 # flat trace
+    sT = _row_contraction(s, T)                                # s^l T_{li}
     # -delta^{jk} Gamma^l_{jk} T_{li} = (n - 2) s^l T_{li}
     # -delta^{jk} Gamma^l_{ji} T_{kl} = -s_i trT   (T symmetric)
-    return g.div(T_full) + ((n - 2.0) * sT - s * trT)
+    return g.div_sym(T) + ((n - 2.0) * sT - s * trT)
+
+
+def _hamiltonian_defect(ids, potential, s, inv_conf, trK, dpsi):
+    """Pointwise R~ + (tr K)^2 - |K|^2 - pi~^2 - |d psi|^2 - 2 V(psi)."""
+    g = ids.geometry
+    n = g.dimension
+    # scalar curvature of g~ = e^{2 omega} delta through the conformal
+    # transformation law, with omega = (2/(n-2)) log phi and d omega = s.
+    # (The equivalent route through lap(phi) telescopes discretely onto the
+    # solver's own scalar residual and would hide the discretization error
+    # this diagnostic is meant to measure.)
+    lap_omega = g.laplacian(
+        (2.0 / (n - 2.0)) * np.log(ids.conformal_factor.values))
+    R_tilde = -2.0 * (n - 1.0) * inv_conf * (
+        -lap_omega + 0.5 * (n - 2.0) * np.sum(s ** 2, axis=0))
+    return (R_tilde + trK ** 2
+            - inv_conf ** 2 * tensor_norm_squared(ids.extrinsic)
+            - ids.pi.values ** 2 - inv_conf * np.sum(dpsi ** 2, axis=0)
+            - 2.0 * potential(ids.psi.values))
 
 
 def constraint_residuals(ids: InitialDataSet, potential: Potential):
@@ -251,7 +278,8 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
     The scalar curvature of the physical metric is evaluated through the
     conformal transformation law (reusing the spectrally exact flat
     Laplacian); covariant derivatives use the conformal Christoffels.
-    Torus geometry only.
+    K stays packed, and the Hamiltonian part's temporaries are freed before
+    the momentum part.  Torus geometry only.
     """
     g = ids.geometry
     if not isinstance(g, Torus):
@@ -259,39 +287,18 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
             "constraint residual evaluation is implemented on the torus")
     n = g.dimension
     phi = ids.conformal_factor.values
-
-    conf = phi ** (4.0 / (n - 2.0))       # g~_ij = conf * delta_ij
-    inv_conf = 1.0 / conf
-
-    # scalar curvature of g~ = e^{2 omega} delta through the conformal
-    # transformation law, with omega = (2/(n-2)) log phi.  (The equivalent
-    # route through lap(phi) telescopes discretely onto the solver's own
-    # scalar residual and would hide the discretization error this
-    # diagnostic is meant to measure.)
-    omega = (2.0 / (n - 2.0)) * np.log(phi)
-    lap_omega = laplace_beltrami(ScalarField(g, omega)).values
-    domega = g.grad(omega)
-    R_tilde = -2.0 * (n - 1.0) * inv_conf * (
-        -lap_omega + 0.5 * (n - 2.0) * np.sum(domega ** 2, axis=0))
-
-    K = ids.extrinsic.full()
-    trK = inv_conf * np.einsum("ii...->...", K)
-    K_sq = inv_conf ** 2 * np.einsum("ij...,ij...->...", K, K)
-
+    inv_conf = 1.0 / phi ** (4.0 / (n - 2.0))      # g~_ij = delta_ij / inv_conf
+    vol_weight = phi ** (2.0 * n / (n - 2.0))      # dv~ = phi^{2n/(n-2)} dv
+    s = _conformal_log_gradient(g, phi)
+    trK = inv_conf * tensor_trace(ids.extrinsic)
     dpsi = g.grad(ids.psi.values)
-    grad_psi_sq = inv_conf * np.sum(dpsi ** 2, axis=0)
 
-    ham = (R_tilde + trK ** 2 - K_sq
-           - ids.pi.values ** 2 - grad_psi_sq
-           - 2.0 * potential(ids.psi.values))
+    ham_norm = float(np.sqrt(g.integrate(vol_weight * _hamiltonian_defect(
+        ids, potential, s, inv_conf, trK, dpsi) ** 2)))
 
     # momentum: g~^{jk} nabla~_j K_{ki} - d_i trK - pi~ d_i psi~
-    divK = inv_conf * _conformal_divergence(
-        g, K, _conformal_log_gradient(g, phi))
-    mom = divK - g.grad(trK) - ids.pi.values * dpsi
-
-    vol_weight = phi ** (2.0 * n / (n - 2.0))   # dv~ = phi^{2n/(n-2)} dv
-    ham_norm = float(np.sqrt(g.integrate(vol_weight * ham ** 2)))
+    mom = (inv_conf * _conformal_divergence(g, ids.extrinsic.values, s)
+           - g.grad(trK) - ids.pi.values * dpsi)
     mom_sq = inv_conf * np.sum(mom ** 2, axis=0)
     mom_norm = float(np.sqrt(g.integrate(vol_weight * mom_sq)))
     return ham_norm, mom_norm

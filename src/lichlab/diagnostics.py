@@ -31,6 +31,7 @@ from .conformal import (
     SystemCoefficients,
     _conformal_divergence,
     _conformal_log_gradient,
+    _row_contraction,
     critical_exponent,
 )
 from .geometry import (
@@ -38,13 +39,12 @@ from .geometry import (
     GeometryMismatch,
     OneFormField,
     ScalarField,
-    SymTensorField,
     _check_geometry,
     _trace_free_sym,
     conformal_killing_deriv,
     lame,
     laplace_beltrami,
-    sym_weights,
+    tensor_norm_squared,
 )
 from .quadrature import ball_rule, unit_sphere_rule
 
@@ -158,9 +158,8 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     interp_g = [_chart_interpolator(g, gv) for gv in g.grad(v.values)]
     interp_h = _chart_interpolator(g, C.h.values)
     interp_f = _chart_interpolator(g, C.f.values)
-    a_vals = C.b.values + C.gamma * np.einsum(
-        "a,a...->...", sym_weights(n), C.U.values ** 2)
-    interp_a = _chart_interpolator(g, a_vals)
+    interp_a = _chart_interpolator(
+        g, C.b.values + C.gamma * tensor_norm_squared(C.U))
 
     dirs, angw = unit_sphere_rule(n, _POLAR_ORDER, _AZIMUTH_ORDER)
 
@@ -226,9 +225,9 @@ def _conformal_killing(g, s, X_vals):
 
 def _conformal_lame(g, phi, s, X_vals):
     """lame_g X for the conformal metric: -div_g of the Killing derivative."""
-    full = SymTensorField(g, _conformal_killing(g, s, X_vals)).full()
     inv_conf = phi ** (-4.0 / (g.dimension - 2.0))
-    return -inv_conf * _conformal_divergence(g, full, s)
+    return -inv_conf * _conformal_divergence(
+        g, _conformal_killing(g, s, X_vals), s)
 
 
 def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
@@ -273,7 +272,7 @@ def conformal_covariance_residuals(v: ScalarField, X: OneFormField,
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
 
     # Lame identity; 2* d log phi = n s
-    correction = n * np.einsum("k...,ki...->i...", s, L_resc.full())
+    correction = n * _row_contraction(s, L_resc.values)
     lhs3 = lame(resc).values - correction
     rhs3 = _conformal_lame(g, phi, s, X.values)
     res3 = float(np.max(np.abs(lhs3 - rhs3)))

@@ -14,14 +14,21 @@ discretisation of one calculus:
 Each geometry has the array methods ``grad``, ``div``, ``laplacian``,
 ``killing``, ``lame`` and ``one_form_shape``, batched over leading
 component axes: ``grad(W)[i, j] = d_i W_j`` and ``div(T)[i] = d_j T[j, i]``.
+The box geometries (torus and chart) also have ``div_sym``, the divergence
+of a packed symmetric tensor.
 The module functions (``gradient``, ``divergence``, ``lame``, ...) are the
 API: each checks the field's geometry and calls one method.
 
 Fields are stored nodally.  Symmetric 2-tensors are packed: the values array
 carries the n(n+1)/2 independent components in row-major upper-triangular
-order.  On the radial sphere grid, one-forms store the radial component w(r)
-and symmetric tensors store orthonormal-frame components (e_r, e_theta,
-e_phi), which are functions of r alone for the radial fields used here.
+order.  Constant fields (``ScalarField.constant``, ``OneFormField.zero``,
+``SymTensorField.constant`` and ``.zero``) store their value once:
+``values`` is a read-only zero-stride view (``np.broadcast_to``) with the
+full field shape, so writing into it raises ``ValueError``; ``copy()``
+gives a full, writable array.  On the radial sphere grid, one-forms store
+the radial component w(r) and symmetric tensors store orthonormal-frame
+components (e_r, e_theta, e_phi), which are functions of r alone for the
+radial fields used here.
 
 The Laplacian follows the geometer's sign convention (minus divergence of
 the gradient, a nonnegative operator), and the conformal Killing derivative
@@ -153,6 +160,14 @@ def _trace_free_sym(dW):
     return np.stack(comps)
 
 
+def _sym_rows(n):
+    """Packed index of (i, j) for each row i: row i of T is packed[rows[i]]."""
+    pos = {}
+    for a, (i, j) in enumerate(sym_index(n)):
+        pos[i, j] = pos[j, i] = a
+    return [[pos[i, j] for j in range(n)] for i in range(n)]
+
+
 def _unpack_sym(packed, n):
     """Packed symmetric components (m, ...) to the full array (n, n, ...)."""
     out = np.zeros((n, n) + packed.shape[1:])
@@ -190,6 +205,11 @@ class _Box:
             shape[a] = self.resolution
             out.append(x.reshape(shape))
         return out
+
+    def div_sym(self, packed):
+        """div(T)[i] = d_j T_ji of a packed symmetric tensor, row by row."""
+        return np.stack([self.div(packed[row])
+                         for row in _sym_rows(self.dimension)])
 
 
 @dataclass(frozen=True)
@@ -280,9 +300,20 @@ class Torus(_Box):
         return self.irfft(self.k2 * self.rfft(values))
 
     def killing(self, values):
-        # in the half spectrum: one batched transform each way
+        # the packed half spectrum i (k_i w_j + k_j w_i - (2/n) k.w d_ij),
+        # filled component by component: one batched transform each way
         what = self.rfft(values)
-        return self.irfft(_trace_free_sym(1j * self._k(what.ndim) * what))
+        n = self.dimension
+        k = self._k(what.ndim - 1)
+        trace = (2.0 / n) * np.einsum("a...,a...->...", k, what)
+        out = np.empty((n * (n + 1) // 2,) + what.shape[1:], dtype=complex)
+        for a, (i, j) in enumerate(sym_index(n)):
+            np.multiply(k[i], what[j], out=out[a])
+            out[a] += k[j] * what[i]
+            if i == j:
+                out[a] -= trace
+        out *= 1j
+        return self.irfft(out)
 
     def lame(self, values):
         what = self.rfft(values)
@@ -428,7 +459,7 @@ class Chart(_Box):
         return _trace_free_sym(self.grad(values))
 
     def lame(self, values):
-        return -self.div(_unpack_sym(self.killing(values), self.dimension))
+        return -self.div_sym(self.killing(values))
 
     def scalar_curvature(self):
         return 0.0
@@ -459,7 +490,8 @@ class ScalarField:
 
     @classmethod
     def constant(cls, geometry, value):
-        return cls(geometry, np.full(geometry.grid_shape, float(value)))
+        """The value stored once, as a read-only view of the grid's shape."""
+        return cls(geometry, np.broadcast_to(float(value), geometry.grid_shape))
 
     def copy(self):
         return ScalarField(self.geometry, self.values.copy())
@@ -479,7 +511,8 @@ class OneFormField:
 
     @classmethod
     def zero(cls, geometry):
-        return cls(geometry, np.zeros(geometry.one_form_shape))
+        """Zero stored once, as a read-only view of the one-form shape."""
+        return cls(geometry, np.broadcast_to(0.0, geometry.one_form_shape))
 
     def copy(self):
         return OneFormField(self.geometry, self.values.copy())
@@ -500,9 +533,17 @@ class SymTensorField:
                 f"tensor values shape {self.values.shape}, expected {expected}")
 
     @classmethod
+    def constant(cls, geometry, components):
+        """Packed constant components stored once, as a read-only view."""
+        comps = np.asarray(components, dtype=float)
+        grid = geometry.grid_shape
+        return cls(geometry, np.broadcast_to(
+            comps.reshape(comps.shape + (1,) * len(grid)), comps.shape + grid))
+
+    @classmethod
     def zero(cls, geometry):
         n = geometry.dimension
-        return cls(geometry, np.zeros((n * (n + 1) // 2,) + geometry.grid_shape))
+        return cls.constant(geometry, np.zeros(n * (n + 1) // 2))
 
     @classmethod
     def from_full(cls, geometry, full):
@@ -521,7 +562,7 @@ class SymTensorField:
 def tensor_norm_squared(T):
     """Pointwise |T|_g^2 for flat torus/chart tensors or sphere frame tensors."""
     w = sym_weights(T.geometry.dimension)
-    return np.einsum("a,a...->...", w, T.values ** 2)
+    return np.einsum("a,a...,a...->...", w, T.values, T.values)
 
 
 def tensor_trace(T):

@@ -57,8 +57,9 @@ def fundamental(y, n):
     return _kappa(n) * r[..., None, None] ** (2.0 - n) * out
 
 
-def stress_contraction(w, vec):
-    """H_{ij,p}(w) vec^p, shape (..., n, n), for w = x - y of shape (..., n).
+def stress_contraction(w, vec, weights):
+    """sum_M c_M H_{ij,p}(w_M) vec^p, shape (n, n), for w = x - y of shape
+    (M, n) and weights c of shape (M,).
 
     H is the Killing-derivative stress of the fundamental matrix,
     H_{ij,p} = d_i G_j(w)_p + d_j G_i(w)_p - (2/n) d_ij sum_k d_k G_k(w)_p
@@ -66,27 +67,31 @@ def stress_contraction(w, vec):
 
         H_{ij,p} = 2 n kappa |w|^{1-n} [d_ij w^_p - w^_i d_jp - w^_j d_ip
                                         - (n-2) w^_i w^_j w^_p].
+
+    The sum is built from the weighted sums of the bracket's terms, without
+    the (M, n, n) stresses.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[-1]
     r = np.linalg.norm(w, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("stress kernel is singular at x = y")
-    wh = w / r[..., None]
+    wh = w / r[:, None]
     zd = wh @ vec
-    out = (np.eye(n) * zd[..., None, None]
-           - wh[..., :, None] * vec
-           - vec[:, None] * wh[..., None, :]
-           - (n - 2.0) * zd[..., None, None] * wh[..., :, None]
-           * wh[..., None, :])
-    return 2.0 * n * _kappa(n) * (r ** (1.0 - n))[..., None, None] * out
+    c = 2.0 * n * _kappa(n) * r ** (1.0 - n) * weights
+    c_w = c @ wh
+    return (np.eye(n) * (c @ zd)
+            - c_w[:, None] * vec
+            - vec[:, None] * c_w
+            - (n - 2.0) * np.einsum("M,Mi,Mj->ij", c * zd, wh, wh))
 
 
 def stress_kernel(x, y, n):
-    """Full stress H_{ij,p}(x, y), shape (..., n, n, n): the contraction
-    with each basis vector e_p, stacked on the last axis."""
+    """Full stress H_{ij,p}(x, y) at one pair of points, shape (n, n, n):
+    the contraction with each basis vector e_p, stacked on the last axis."""
     w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return np.stack([stress_contraction(w, e) for e in np.eye(n)], axis=-1)
+    return np.stack([stress_contraction(w[None], e, np.ones(1))
+                     for e in np.eye(n)], axis=-1)
 
 
 # 4th-order central differences on the offsets -2..2: first-derivative

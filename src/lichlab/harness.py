@@ -186,10 +186,8 @@ def tensor_from_recipe(g, text):
         if n > 4:
             raise ValueError("constant_tensor names axes x, y, z, w: "
                              "dimension at most 4")
-        vals = np.zeros((n * (n + 1) // 2,) + g.grid_shape)
-        for a, key in enumerate(pairs):
-            vals[a] = _param(prm, key, 0.0)
-        return SymTensorField(g, vals)
+        return SymTensorField.constant(g, [_param(prm, key, 0.0)
+                                           for key in pairs])
     raise ValueError(f"unknown tensor recipe {name!r}")
 
 

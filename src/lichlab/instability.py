@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import (
     OneFormField,
@@ -108,6 +107,8 @@ def solve_Z(lam, grid, rtol=1e-12, atol=1e-13):
     Returns (Z, Z') sampled on the grid; the integration runs separately
     toward each pole with a high-order adaptive scheme and dense output.
     """
+    from scipy.integrate import solve_ivp    # imported here: it is slow to load
+
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(grid >= np.pi):
         raise ValueError("grid must lie strictly inside (0, pi)")

@@ -154,10 +154,8 @@ def _lanczos_smallest_ritz(apply_op, shape, iterations=20):
     The start vector mixes the constant mode with a fixed low mode, so
     near-null constant directions are captured deterministically.
     """
-    size = int(np.prod(shape))
-    v = np.ones(shape)
-    idx = np.unravel_index(np.arange(size), shape)
-    v = v + 0.1 * np.cos(2.0 * np.pi * idx[0].reshape(shape) / shape[0])
+    first = np.arange(shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
+    v = np.ones(shape) + 0.1 * np.cos(2.0 * np.pi * first / shape[0])
     v = v / np.linalg.norm(v)
     alphas, betas = [], []
     v_prev = np.zeros(shape)

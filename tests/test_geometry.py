@@ -25,6 +25,7 @@ from lichlab.geometry import (
     tensor_norm_squared,
     tensor_trace,
 )
+from lichlab.harness import tensor_from_recipe
 
 
 def random_bandlimited_oneform(g, rng, kmax=3, amplitude=1.0):
@@ -244,6 +245,57 @@ class TestChart:
             laplace_beltrami(f, g2)
 
 
+CONSTANT_FIELDS = {
+    "scalar": lambda g: ScalarField.constant(g, 2.5),
+    "one-form": OneFormField.zero,
+    "tensor": SymTensorField.zero,
+    "tensor recipe": lambda g: tensor_from_recipe(
+        g, "constant_tensor(xy=0.1, zz=-0.2)"),
+}
+
+
+class TestConstantFields:
+    @pytest.mark.parametrize("make", CONSTANT_FIELDS.values(),
+                             ids=CONSTANT_FIELDS.keys())
+    def test_stored_once_and_read_only(self, make):
+        g = Chart(3, 9)
+        values = make(g).values
+        assert values.shape[-3:] == g.grid_shape
+        assert values.strides[-3:] == (0, 0, 0)
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("make", CONSTANT_FIELDS.values(),
+                             ids=CONSTANT_FIELDS.keys())
+    def test_copy_is_full_and_writable(self, make):
+        field = make(Torus(3, 8))
+        copy = field.copy()
+        assert copy.values.flags.writeable and copy.values.flags.c_contiguous
+        assert np.array_equal(copy.values, field.values)
+        copy.values[...] = 1.0
+        assert not np.array_equal(copy.values, field.values)
+
+    def test_writing_into_a_constant_raises(self):
+        f = ScalarField.constant(Torus(3, 8), 2.5)
+        with pytest.raises(ValueError):
+            f.values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.values += 1.0
+        assert np.all(f.values == 2.5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_norm_squared_is_weighted_sum_of_squares(self, n, seed, constant):
+        g = Torus(n, 8)
+        m = n * (n + 1) // 2
+        rng = np.random.default_rng(seed)
+        T = (SymTensorField.constant(g, rng.normal(size=m)) if constant
+             else SymTensorField(g, rng.normal(size=(m,) + g.grid_shape)))
+        w = sym_weights(n)
+        ref = sum(w[a] * T.values[a] ** 2 for a in range(m))
+        assert np.allclose(tensor_norm_squared(T), ref, rtol=1e-15, atol=0.0)
+
+
 class TestFieldInvariants:
     def test_scalar_shape_checked(self):
         g = Torus(3, 16)
@@ -256,6 +308,12 @@ class TestFieldInvariants:
         vals[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             ScalarField(g, vals)
+
+    def test_chart_div_sym_equals_div_of_full_tensor(self):
+        g = Chart(3, 10, extent=1.0)
+        T = SymTensorField(g, np.random.default_rng(6).normal(
+            size=(6,) + g.grid_shape))
+        assert np.array_equal(g.div_sym(T.values), g.div(T.full()))
 
     def test_tensor_pack_unpack(self):
         g = Torus(3, 16)
@@ -366,6 +424,9 @@ class TestHalfSpectrumBackend:
         T = bandlimited_values(g, rng, (3, 3), kmax)
         ref_divT = sum(ref_partials(g, T[j])[j] for j in range(3))
         assert rel_err(g.div(T), ref_divT) < 1e-12
+        # div_sym takes the packed components of a symmetric tensor
+        S = SymTensorField.from_full(g, T + np.swapaxes(T, 0, 1))
+        assert rel_err(g.div_sym(S.values), g.div(S.full())) < 1e-12
 
         axes = (1, 2, 3)
         what = np.moveaxis(np.fft.fftn(w, axes=axes), 0, -1)

@@ -12,6 +12,7 @@ from lichlab.green import (
     lame_of_columns,
     project_killing,
     representation_residual,
+    stress_contraction,
     stress_kernel,
 )
 
@@ -135,6 +136,17 @@ class TestStressKernel:
                 if i == j:
                     Hfd[i, j] -= (2.0 / n) * np.einsum("kkp->p", dG)
         assert np.max(np.abs(H - Hfd)) < 1e-6
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_weighted_sum_of_pointwise_contractions(self, n):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(7, n))
+        vec, c = rng.normal(size=n), rng.normal(size=7)
+        pointwise = np.stack([stress_kernel(wM, np.zeros(n), n) @ vec
+                              for wM in w])
+        expected = np.einsum("M,Mij->ij", c, pointwise)
+        got = stress_contraction(w, vec, c)
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 unused imports in the package, its tests and its demos."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +66,14 @@ def test_every_imported_name_is_read():
     assert len(paths) > 20
     unused = [u for p in paths for u in unused_imports(p)]
     assert not unused, unused
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 15 MB and 0.16 s to load; only
+    # instability.solve_Z needs it, and imports it itself
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lichlab; print('scipy.integrate' in sys.modules)"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.stdout.strip() == "False", run.stdout + run.stderr
