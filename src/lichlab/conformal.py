@@ -32,6 +32,7 @@ from .geometry import (
     ScalarField,
     SymTensorField,
     Torus,
+    _check_geometry,
     conformal_killing_deriv,
     gradient,
     _sym_rows,
@@ -94,8 +95,7 @@ class PhysicsData:
     def __post_init__(self):
         g = self.psi.geometry
         for f in (self.pi, self.tau, self.sigma):
-            if f.geometry is not g and f.geometry != g:
-                raise GeometryMismatch("physics data fields share no geometry")
+            _check_geometry(f, g)
         tr = np.max(np.abs(tensor_trace(self.sigma)))
         if tr > _TRACE_TOL:
             warnings.warn(
@@ -126,12 +126,19 @@ class SystemCoefficients:
             raise ValueError("b must be nonnegative")
         g = self.h.geometry
         for f in (self.f, self.b, self.U, self.X, self.Y):
-            if f.geometry is not g and f.geometry != g:
-                raise GeometryMismatch("coefficient fields share no geometry")
+            _check_geometry(f, g)
 
     @property
     def geometry(self):
         return self.h.geometry
+
+    def quadratic(self, W=None):
+        """a(W) = b + gamma |U + L W|^2 pointwise; a(0) when W is None."""
+        S = self.U
+        if W is not None:
+            S = conformal_killing_deriv(W)
+            S.values += self.U.values       # the fresh L W becomes U + L W
+        return self.b.values + self.gamma * tensor_norm_squared(S)
 
     def replace(self, **kw):
         data = dict(h=self.h, f=self.f, b=self.b, U=self.U,
@@ -216,7 +223,7 @@ def reconstruct(u: ScalarField, W: OneFormField, data: PhysicsData):
         gij = 1.0 if i == j else 0.0
         Kvals[a] = (data.tau.values / n) * conf * gij \
             + phi ** (-2.0) * (data.sigma.values[a] + LW.values[a])
-    pit = ScalarField(g, phi ** (-2.0 * n / (n - 2.0)) * data.pi.values)
+    pit = ScalarField(g, phi ** (-critical_exponent(n)) * data.pi.values)
     return InitialDataSet(
         conformal_factor=ScalarField(g, phi.copy()),
         extrinsic=SymTensorField(g, Kvals),
@@ -288,7 +295,7 @@ def constraint_residuals(ids: InitialDataSet, potential: Potential):
     n = g.dimension
     phi = ids.conformal_factor.values
     inv_conf = 1.0 / phi ** (4.0 / (n - 2.0))      # g~_ij = delta_ij / inv_conf
-    vol_weight = phi ** (2.0 * n / (n - 2.0))      # dv~ = phi^{2n/(n-2)} dv
+    vol_weight = phi ** critical_exponent(n)      # dv~ = phi^{2n/(n-2)} dv
     s = _conformal_log_gradient(g, phi)
     trK = inv_conf * tensor_trace(ids.extrinsic)
     dpsi = g.grad(ids.psi.values)

@@ -44,7 +44,6 @@ from .geometry import (
     conformal_killing_deriv,
     lame,
     laplace_beltrami,
-    tensor_norm_squared,
 )
 from .quadrature import ball_rule, unit_sphere_rule
 
@@ -158,8 +157,7 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     interp_g = [_chart_interpolator(g, gv) for gv in g.grad(v.values)]
     interp_h = _chart_interpolator(g, C.h.values)
     interp_f = _chart_interpolator(g, C.f.values)
-    interp_a = _chart_interpolator(
-        g, C.b.values + C.gamma * tensor_norm_squared(C.U))
+    interp_a = _chart_interpolator(g, C.quadratic())
 
     dirs, angw = unit_sphere_rule(n, _POLAR_ORDER, _AZIMUTH_ORDER)
 

@@ -17,7 +17,7 @@ component axes: ``grad(W)[i, j] = d_i W_j`` and ``div(T)[i] = d_j T[j, i]``.
 The box geometries (torus and chart) also have ``div_sym``, the divergence
 of a packed symmetric tensor.
 The module functions (``gradient``, ``divergence``, ``lame``, ...) are the
-API: each checks the field's geometry and calls one method.
+API: each calls one method of its field's geometry.
 
 Fields are stored nodally.  Symmetric 2-tensors are packed: the values array
 carries the n(n+1)/2 independent components in row-major upper-triangular
@@ -74,9 +74,8 @@ class GeometryMismatch(ValueError):
 
 
 def _check_geometry(field_obj, g):
-    if g is not None and field_obj.geometry is not g and field_obj.geometry != g:
+    if field_obj.geometry is not g and field_obj.geometry != g:
         raise GeometryMismatch("field lives on a different geometry")
-    return field_obj.geometry
 
 
 def sym_index(n):
@@ -583,43 +582,38 @@ def partial_deriv(g, values, axis):
     return g.grad(values)[axis]
 
 
-def laplace_beltrami(f, g=None):
+def laplace_beltrami(f):
     """Laplace-Beltrami of a scalar, nonnegative sign convention."""
-    g = _check_geometry(f, g)
-    return ScalarField(g, g.laplacian(f.values))
+    return ScalarField(f.geometry, f.geometry.laplacian(f.values))
 
 
-def gradient(f, g=None):
+def gradient(f):
     """Gradient of a scalar: Euclidean components, radial on the sphere."""
-    g = _check_geometry(f, g)
-    return OneFormField(g, g.grad(f.values))
+    return OneFormField(f.geometry, f.geometry.grad(f.values))
 
 
-def divergence(W, g=None):
+def divergence(W):
     """Divergence of a one-form."""
-    g = _check_geometry(W, g)
-    return ScalarField(g, g.div(W.values))
+    return ScalarField(W.geometry, W.geometry.div(W.values))
 
 
-def conformal_killing_deriv(W, g=None):
+def conformal_killing_deriv(W):
     """Trace-free symmetrized derivative L_g W."""
-    g = _check_geometry(W, g)
-    return SymTensorField(g, g.killing(W.values))
+    return SymTensorField(W.geometry, W.geometry.killing(W.values))
 
 
-def lame(W, g=None):
+def lame(W):
     """Lame operator, minus the divergence of the conformal Killing derivative."""
-    g = _check_geometry(W, g)
-    return OneFormField(g, g.lame(W.values))
+    return OneFormField(W.geometry, W.geometry.lame(W.values))
 
 
-def lame_invert(F, g=None):
+def lame_invert(F):
     """Invert the Lame operator on the torus, modulo its constant-form kernel.
 
     Returns (W, defect): W is mean-free and satisfies lame(W) = F - <F>,
     and defect is the L^2 norm of the discarded constant component of F.
     """
-    g = _check_geometry(F, g)
+    g = F.geometry
     if not isinstance(g, Torus):
         raise GeometryMismatch("lame_invert requires a torus geometry")
     n = g.dimension

@@ -41,6 +41,7 @@ from .conformal import (
     SystemCoefficients,
     classify,
     coefficients,
+    critical_exponent,
     normalize,
 )
 from .geometry import (
@@ -573,7 +574,7 @@ def check_bubble_residual():
         p = BubbleParams(n=n, mu=rng.uniform(0.1, 1.5),
                          f_center=rng.uniform(0.5, 4.0))
         x = rng.normal(size=(100, n)) * 2.5
-        rhs = p.f_center * bubble(p, x) ** (2.0 * n / (n - 2.0) - 1.0)
+        rhs = p.f_center * bubble(p, x) ** (critical_exponent(n) - 1.0)
         worst = max(worst, float(np.max(
             np.abs(bubble_laplacian(p, x) - rhs) / np.abs(rhs))))
     return [_check("bubble_residual", "bubbles", worst, 1e-8)]

@@ -18,12 +18,14 @@ On S^3 the construction couples phi to a radial one-form: Z solves
     Z(pi/2) = 1, Z'(pi/2) = 0,
 
 and with a smooth cutoff eta supported away from both poles, the one-form
-W = eta Z d/dr satisfies  lame(W) = phi^6 X0 + Y  with X0 = eta d/dr and
+W = eta Z d/dr satisfies  lame(W) = phi^6 X + Y  with X = eta d/dr and
 
     Y = -(4/3) (2 eta' Z' + eta'' Z + 2 cot(r) eta' Z) d/dr .
 
 Setting U = -L W makes (phi, W) an exact solution of the coupled system
-with data (U, Y) bounded uniformly as lam -> 1 while sup phi blows up.
+with h = f = 3/4, b = 0, gamma = 1 (``assemble`` returns these data as a
+``SystemCoefficients``) and (U, Y) bounded uniformly as lam -> 1 while sup
+phi blows up; ``verify`` measures it with the solver's own residuals.
 
 The homogeneous radial equation has the closed solutions sin(r) and
 cos(r) + cos^3(r)/(3 sin^2 r); they power the variation-of-parameters
@@ -32,10 +34,11 @@ oracle used by the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import SystemCoefficients, critical_exponent
 from .geometry import (
     OneFormField,
     ScalarField,
@@ -43,10 +46,9 @@ from .geometry import (
     SymTensorField,
     conformal_killing_deriv,
     lame,
-    laplace_beltrami,
-    tensor_norm_squared,
     _fd_matrix,
 )
+from .solver import _momentum_rhs, scalar_residual_field
 
 __all__ = [
     "EtaParams",
@@ -84,7 +86,7 @@ def sphere_yamabe_residual(n, lam, grid=None):
     d2 = _fd_matrix(grid, 2)
     lap = -(d2 @ phi) - (n - 1.0) / np.tan(grid) * (d1 @ phi)
     coef = n * (n - 2.0) / 4.0
-    p = 2.0 * n / (n - 2.0)
+    p = critical_exponent(n)
     res = lap + coef * phi - coef * phi ** (p - 1.0)
     return float(np.max(np.abs(res)) / np.max(coef * phi ** (p - 1.0)))
 
@@ -200,16 +202,14 @@ class EtaParams:
 @dataclass
 class InstabilityAssembly:
     lam: float
-    geometry: SphereRadial
     phi: ScalarField
-    Z: np.ndarray = field(repr=False)
-    Zp: np.ndarray = field(repr=False)
     W: OneFormField
-    U: SymTensorField
-    Y: OneFormField
-    X0: OneFormField
-    eta: np.ndarray = field(repr=False)
-    eta_params: EtaParams = None
+    C: SystemCoefficients
+    eta_params: EtaParams
+
+    @property
+    def geometry(self):
+        return self.C.geometry
 
 
 @dataclass
@@ -238,44 +238,41 @@ def assemble(lam, eta_params: EtaParams = None, geometry: SphereRadial = None):
     phi = ScalarField(g, phi_bubble_sphere(3, lam, r))
     Z, Zp = solve_Z(lam, r)
     W = OneFormField(g, eta * Z)
-    LW = conformal_killing_deriv(W)
-    U = SymTensorField(g, -LW.values)
-    cot = g.cot_r
-    Y = OneFormField(g, -(4.0 / 3.0) * (2.0 * etap * Zp + etapp * Z
-                                        + 2.0 * cot * etap * Z))
-    X0 = OneFormField(g, eta.copy())
-    return InstabilityAssembly(lam=lam, geometry=g, phi=phi, Z=Z, Zp=Zp,
-                               W=W, U=U, Y=Y, X0=X0, eta=eta,
+    yamabe = ScalarField.constant(g, 0.75)       # n(n-2)/4 at n = 3
+    C = SystemCoefficients(
+        h=yamabe, f=yamabe, b=ScalarField.constant(g, 0.0),
+        U=SymTensorField(g, -conformal_killing_deriv(W).values),
+        X=OneFormField(g, eta),
+        Y=OneFormField(g, -(4.0 / 3.0) * (2.0 * etap * Zp + etapp * Z
+                                          + 2.0 * g.cot_r * etap * Z)),
+        gamma=1.0)
+    return InstabilityAssembly(lam=lam, phi=phi, W=W, C=C,
                                eta_params=eta_params)
 
 
 def verify(assembly: InstabilityAssembly):
     """Residuals of the coupled system for an assembled family member.
 
-    The quadratic source |U + L W|^2 vanishes identically by construction
-    (U = -L W), so the scalar equation reduces to the Yamabe identity for
-    phi; the vector residual checks lame(W) against phi^6 X0 + Y.  The
-    supremum of phi is measured on a dense closed-form sample of [0, pi]
+    The solver's ``scalar_residual_field`` relative to max f phi^{2*-1}
+    (a(W) vanishes, U = -L W), and lame(W) minus its ``_momentum_rhs``
+    relative to that right-hand side (the sphere has no kernel to project).
+    The supremum of phi is measured on a dense closed-form sample of [0, pi]
     (the grid excludes the poles where the maximum sits).
     """
     g = assembly.geometry
-    phi = assembly.phi
-    lam = assembly.lam
+    phi, W, C, lam = assembly.phi, assembly.W, assembly.C, assembly.lam
+    p = critical_exponent(g.dimension)
 
-    LW = conformal_killing_deriv(assembly.W)
-    quad = tensor_norm_squared(SymTensorField(g, assembly.U.values + LW.values))
-    cancellation = float(np.max(np.abs(quad)))
+    cancellation = float(np.max(np.abs(C.quadratic(W))))
 
-    coef = 0.75
-    rhs_scale = coef * phi.values ** 5
-    scal_res = (laplace_beltrami(phi).values + coef * phi.values
-                - rhs_scale - quad / phi.values ** 7)
-    scalar_residual = float(np.max(np.abs(scal_res)) / np.max(rhs_scale))
+    rhs_scale = C.f.values * phi.values ** (p - 1.0)
+    scalar_residual = float(np.max(np.abs(scalar_residual_field(phi, W, C)))
+                            / np.max(rhs_scale))
 
-    vec_rhs = phi.values ** 6 * assembly.X0.values + assembly.Y.values
-    vec_res = lame(assembly.W).values - vec_rhs
+    vec_rhs = _momentum_rhs(phi, C)
     vec_scale = max(np.max(np.abs(vec_rhs)), 1e-300)
-    vector_residual = float(np.max(np.abs(vec_res)) / vec_scale)
+    vector_residual = float(np.max(np.abs(lame(W).values - vec_rhs))
+                            / vec_scale)
 
     dense = np.linspace(0.0, np.pi, 8 * g.resolution + 1)
     sup_phi = float(np.max(phi_bubble_sphere(3, lam, dense)))
@@ -287,7 +284,7 @@ def verify(assembly: InstabilityAssembly):
         vector_residual=vector_residual,
         sup_phi=sup_phi,
         sup_phi_closed_form=closed,
-        norm_U=float(np.max(np.abs(assembly.U.values))),
-        norm_Y=float(np.max(np.abs(assembly.Y.values))),
+        norm_U=float(np.max(np.abs(C.U.values))),
+        norm_Y=float(np.max(np.abs(C.Y.values))),
         cancellation=cancellation,
     )

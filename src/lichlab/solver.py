@@ -5,9 +5,10 @@ The system is
     lap u + h u = f u^{2*-1} + a(W) u^{-2*-1},  a(W) = b + gamma |U + L W|^2
     lame W      = u^{2*} X + Y   (modulo constant forms, projected + reported)
 
-solved by a damped alternation: each pass inverts the momentum equation
-spectrally for the current u, then runs a positivity-preserving Newton
-iteration on the scalar equation for the current W.
+with a(W) from ``SystemCoefficients.quadratic``, solved by a damped
+alternation: each pass inverts the momentum equation spectrally for the
+current u, then runs a Newton iteration on the scalar equation for the
+current W that keeps its iterates above a fixed floor of 1e-8.
 
 The Newton linearization keeps both nonlinear terms,
 
@@ -33,9 +34,6 @@ from .geometry import (
     lame,
     lame_invert,
     laplace_beltrami,
-    tensor_norm_squared,
-    conformal_killing_deriv,
-    sym_weights,
 )
 
 __all__ = [
@@ -79,24 +77,27 @@ class OuterDivergedError(SolverError):
     pass
 
 
+# the floor Newton iterates stay above, and the Newton steps one scalar
+# solve may take
+_U_FLOOR = 1e-8
+_MAX_NEWTON = 40
+
+
 @dataclass
 class SolveOptions:
     max_outer: int = 60
-    max_newton: int = 40
     tol_residual: float = 1e-10
     damping: float = 0.7
-    u_floor: float = 1e-8
     initial_guess: Union[ScalarField, float, None] = None
     coercivity_check: str = "strict"    # "strict" | "weak" | "off"
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not (0.0 < self.tol_residual < np.inf
-                and 0.0 < self.u_floor < np.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_outer < 1 or self.max_newton < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be positive and finite")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
         if self.coercivity_check not in ("strict", "weak", "off"):
             raise ValueError("coercivity_check must be strict, weak or off")
 
@@ -112,15 +113,6 @@ class Solution:
     converged: bool
 
 
-def _quadratic_term(W, C):
-    """a(W) = b + gamma |U + L W|^2 evaluated pointwise."""
-    LW = conformal_killing_deriv(W)
-    S = C.U.values + LW.values
-    w = sym_weights(C.geometry.dimension)
-    sq = np.einsum("a,a...->...", w, S ** 2)
-    return C.b.values + C.gamma * sq
-
-
 def _scalar_residual(u, a, C):
     """Pointwise scalar residual at the field u for a precomputed a(W)."""
     p = critical_exponent(C.geometry.dimension)
@@ -132,7 +124,7 @@ def _scalar_residual(u, a, C):
 
 def scalar_residual_field(u, W, C):
     """Pointwise residual of the scalar equation at (u, W)."""
-    return _scalar_residual(u, _quadratic_term(W, C), C)
+    return _scalar_residual(u, C.quadratic(W), C)
 
 
 def _momentum_rhs(u, C):
@@ -204,9 +196,7 @@ def check_coercivity(C, mode="strict"):
 
 def solve_momentum(u, C):
     """Spectral momentum solve; returns (W, kernel_defect)."""
-    g = C.geometry
-    rhs = OneFormField(g, _momentum_rhs(u, C))
-    return lame_invert(rhs, g)
+    return lame_invert(OneFormField(C.geometry, _momentum_rhs(u, C)))
 
 
 def solve_scalar(W, C, opts: SolveOptions):
@@ -215,7 +205,7 @@ def solve_scalar(W, C, opts: SolveOptions):
     n = g.dimension
     p = critical_exponent(n)
     check_coercivity(C, opts.coercivity_check)
-    a = _quadratic_term(W, C)
+    a = C.quadratic(W)
 
     degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
     u = _initial_field(C, opts, a)
@@ -223,7 +213,7 @@ def solve_scalar(W, C, opts: SolveOptions):
     shape = g.grid_shape
 
     res = _scalar_residual(ScalarField(g, u), a, C)
-    for it in range(opts.max_newton):
+    for it in range(_MAX_NEWTON):
         res_norm = np.max(np.abs(res))
         if res_norm < opts.tol_residual:
             return ScalarField(g, u)
@@ -251,7 +241,7 @@ def solve_scalar(W, C, opts: SolveOptions):
         t = 1.0
         for _ in range(60):
             trial = u + t * delta
-            if np.min(trial) > opts.u_floor:
+            if np.min(trial) > _U_FLOOR:
                 trial_res = _scalar_residual(ScalarField(g, trial), a, C)
                 if np.max(np.abs(trial_res)) <= res_norm * (1.0 + 1e-8):
                     break
@@ -265,23 +255,24 @@ def solve_scalar(W, C, opts: SolveOptions):
             if degenerate:
                 raise DegenerateDataError(
                     "scalar data admit only the zero solution (f <= 0, a == 0); "
-                    "iterate pinned at u_floor")
+                    "iterate pinned at the floor")
             raise PositivityLostError(
-                "line search exhausted without keeping the iterate above u_floor")
+                "line search exhausted without keeping the iterate above "
+                "the floor")
         u = trial
         res = trial_res
 
     res_norm = float(np.max(np.abs(res)))
-    if degenerate and np.min(u) < 10.0 * opts.u_floor:
+    if degenerate and np.min(u) < 10.0 * _U_FLOOR:
         raise DegenerateDataError(
             "scalar data admit only the zero solution; residual stationary "
-            f"at u_floor (residual {res_norm:.3e})")
+            f"at the floor (residual {res_norm:.3e})")
     raise NewtonDivergedError(
         f"Newton did not reach {opts.tol_residual:.1e} within "
-        f"{opts.max_newton} iterations (residual {res_norm:.3e})")
+        f"{_MAX_NEWTON} iterations (residual {res_norm:.3e})")
 
 
-def constant_balance_root(h_bar, f_bar, a_bar, n, u_floor=1e-8):
+def constant_balance_root(h_bar, f_bar, a_bar, n):
     """Smallest positive root of h t = f t^{2*-1} + a t^{-2*-1}.
 
     Used for the default initial guess.  Scans sign changes of the balance
@@ -293,7 +284,7 @@ def constant_balance_root(h_bar, f_bar, a_bar, n, u_floor=1e-8):
     def balance(t):
         return h_bar * t - f_bar * t ** (p - 1.0) - a_bar * t ** (-p - 1.0)
 
-    ts = np.logspace(np.log10(max(u_floor, 1e-6)), 2.0, 400)
+    ts = np.logspace(-6.0, 2.0, 400)
     vals = balance(ts)
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if len(sign_change) == 0:
@@ -318,8 +309,8 @@ def _initial_field(C, opts, a):
     root = constant_balance_root(float(np.mean(C.h.values)),
                                  float(np.mean(C.f.values)),
                                  float(np.mean(a)),
-                                 g.dimension, opts.u_floor)
-    return np.full(g.grid_shape, max(root, 10.0 * opts.u_floor))
+                                 g.dimension)
+    return np.full(g.grid_shape, max(root, 10.0 * _U_FLOOR))
 
 
 def solve_system(C, opts: Optional[SolveOptions] = None):
@@ -328,8 +319,7 @@ def solve_system(C, opts: Optional[SolveOptions] = None):
     g = C.geometry
     check_coercivity(C, opts.coercivity_check)
 
-    a0 = C.b.values + C.gamma * tensor_norm_squared(C.U)
-    u = ScalarField(g, _initial_field(C, opts, a0))
+    u = ScalarField(g, _initial_field(C, opts, C.quadratic()))
     W, kdef = solve_momentum(u, C)
 
     inner_tol = max(0.05 * opts.tol_residual, 1e-12)
@@ -356,7 +346,7 @@ def solve_system(C, opts: Optional[SolveOptions] = None):
                     iterations=opts.max_outer, converged=False)
 
 
-def manufactured_forcing(u_star, W_star, C, u_floor=1e-8):
+def manufactured_forcing(u_star, W_star, C):
     """Coefficients for which (u_star, W_star) solves the discrete system.
 
     h is replaced pointwise so the scalar equation is exact at u_star, and
@@ -365,9 +355,9 @@ def manufactured_forcing(u_star, W_star, C, u_floor=1e-8):
     g = C.geometry
     n = g.dimension
     p = critical_exponent(n)
-    if np.min(u_star.values) <= u_floor:
-        raise ValueError("u_star must stay above u_floor")
-    a = _quadratic_term(W_star, C)
+    if np.min(u_star.values) <= _U_FLOOR:
+        raise ValueError(f"u_star must stay above {_U_FLOOR:.0e}")
+    a = C.quadratic(W_star)
     lap_u = laplace_beltrami(u_star).values
     h_vals = (C.f.values * u_star.values ** (p - 1.0)
               + a * u_star.values ** (-p - 1.0) - lap_u) / u_star.values

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lichlab.conformal import (
     PhysicsData,
     Potential,
+    SystemCoefficients,
     classify,
     coefficients,
     constraint_residuals,
@@ -11,11 +13,13 @@ from lichlab.conformal import (
     reconstruct,
 )
 from lichlab.geometry import (
+    Chart,
     OneFormField,
     ScalarField,
     SphereRadial,
     SymTensorField,
     Torus,
+    conformal_killing_deriv,
 )
 from lichlab.solver import SolveOptions, solve_system
 
@@ -108,6 +112,39 @@ class TestNormalize:
             make_data(torus, sigma=SymTensorField(torus, vals))
         # the warning points at the code that built the data
         assert [w.filename for w in record] == [__file__]
+
+
+def random_coefficients(g, rng):
+    """Coefficients with random b >= 0, U, gamma > 0 and zero h, f, X, Y."""
+    zero = ScalarField.constant(g, 0.0)
+    m = g.dimension * (g.dimension + 1) // 2
+    return SystemCoefficients(
+        h=zero, f=zero, b=ScalarField(g, rng.uniform(0.0, 1.0, g.grid_shape)),
+        U=SymTensorField(g, rng.normal(size=(m,) + g.grid_shape)),
+        X=OneFormField.zero(g), Y=OneFormField.zero(g),
+        gamma=rng.uniform(0.1, 2.0))
+
+
+def full_norm_squared(T):
+    """sum_ij T_ij^2 from the unpacked tensor."""
+    return np.sum(T.full() ** 2, axis=(0, 1))
+
+
+class TestQuadratic:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([Torus(3, 8), Chart(3, 8)]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_unpacked_tensor(self, g, seed):
+        rng = np.random.default_rng(seed)
+        C = random_coefficients(g, rng)
+        W = OneFormField(g, rng.normal(size=g.one_form_shape))
+        S = SymTensorField(g, C.U.values + conformal_killing_deriv(W).values)
+        np.testing.assert_allclose(
+            C.quadratic(W), C.b.values + C.gamma * full_norm_squared(S),
+            rtol=1e-13)
+        np.testing.assert_allclose(
+            C.quadratic(), C.b.values + C.gamma * full_norm_squared(C.U),
+            rtol=1e-13)
 
 
 class TestSphereCoefficients:

@@ -25,6 +25,7 @@ from lichlab.geometry import (
     tensor_norm_squared,
     tensor_trace,
 )
+from lichlab.conformal import SystemCoefficients
 from lichlab.harness import tensor_from_recipe
 
 
@@ -53,7 +54,7 @@ class TestTorusOperators:
 
     def test_laplacian_of_constant_is_zero(self):
         f = ScalarField.constant(self.g, 4.2)
-        out = laplace_beltrami(f, self.g)
+        out = laplace_beltrami(f)
         assert np.max(np.abs(out.values)) < 1e-13
 
     def test_laplacian_eigenfunction(self):
@@ -240,9 +241,12 @@ class TestChart:
     def test_geometry_mismatch_raises(self):
         g1 = Torus(3, 16)
         g2 = Torus(3, 32)
-        f = ScalarField.constant(g1, 1.0)
+        zero = ScalarField.constant(g1, 0.0)
         with pytest.raises(GeometryMismatch):
-            laplace_beltrami(f, g2)
+            SystemCoefficients(h=zero, f=zero, b=zero,
+                               U=SymTensorField.zero(g1),
+                               X=OneFormField.zero(g2),
+                               Y=OneFormField.zero(g1))
 
 
 CONSTANT_FIELDS = {

@@ -132,11 +132,11 @@ class TestAssembly:
 
     def test_cancellation_identity(self, asm):
         LW = conformal_killing_deriv(asm.W)
-        assert np.max(np.abs(asm.U.values + LW.values)) < 1e-14
+        assert np.max(np.abs(asm.C.U.values + LW.values)) < 1e-14
 
     def test_U_traceless(self, asm):
         from lichlab.geometry import tensor_trace
-        assert np.max(np.abs(tensor_trace(asm.U))) < 1e-12
+        assert np.max(np.abs(tensor_trace(asm.C.U))) < 1e-12
 
     def test_killing_rr_component_at_equator(self):
         # with a ramp crossing pi/2 the rr-component there is
@@ -163,9 +163,9 @@ class TestVerify:
         # shrink as lam -> 1
         g = SphereRadial(2048)
         asms = [assemble(lam, geometry=g) for lam in (1.2, 1.05, 1.01, 1.002)]
-        dU = [np.max(np.abs(a.U.values - b.U.values))
+        dU = [np.max(np.abs(a.C.U.values - b.C.U.values))
               for a, b in zip(asms[:-1], asms[1:])]
-        dY = [np.max(np.abs(a.Y.values - b.Y.values))
+        dY = [np.max(np.abs(a.C.Y.values - b.C.Y.values))
               for a, b in zip(asms[:-1], asms[1:])]
         assert dU[0] > dU[1] > dU[2]
         assert dY[0] > dY[1] > dY[2]

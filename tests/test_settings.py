@@ -1,7 +1,9 @@
-"""Repository settings: the pytest settings in pyproject.toml, and no
-unused imports in the package, its tests and its demos."""
+"""Repository settings: the pytest settings in pyproject.toml, no unused
+imports in the package, its tests and its demos, and no stale ``__all__``
+entry in the package."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -66,6 +68,18 @@ def test_every_imported_name_is_read():
     assert len(paths) > 20
     unused = [u for p in paths for u in unused_imports(p)]
     assert not unused, unused
+
+
+def test_every_name_in_all_resolves():
+    modules = sorted((ROOT / "src" / "lichlab").glob("*.py"))
+    assert len(modules) > 5
+    stale = []
+    for path in modules:
+        name = "lichlab" if path.stem == "__init__" else f"lichlab.{path.stem}"
+        mod = importlib.import_module(name)
+        stale += [f"{name}.{entry}" for entry in getattr(mod, "__all__", ())
+                  if not hasattr(mod, entry)]
+    assert not stale, stale
 
 
 def test_import_leaves_scipy_integrate_unloaded():
