@@ -107,9 +107,14 @@ def _lame_fd(X, pts, h, n):
     X maps (M, n) points to (M, n, ...) values; trailing axes ride along.
     It is called once per distinct stencil point: the centre, four points
     on each axis and sixteen in each coordinate plane, so 1 + 4n + 8n(n-1)
-    calls of M points each.
+    calls of M points each.  Every call gets a coordinate-major
+    (F-contiguous) float array, whatever the layout of pts, so a reduction
+    over the coordinate axis, such as np.sum(p ** 2, axis=-1), runs over
+    contiguous columns instead of length-n rows.  Elementwise code and such
+    sums give the same values in either layout; a callable whose reduction
+    order follows the layout (np.einsum, matmul) may differ at roundoff.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = np.asfortranarray(pts, dtype=float)
     e = h * np.eye(n)
     center = X(pts)
     d2 = [[None] * n for _ in range(n)]                # d2[a][b] = d_a d_b X
@@ -268,7 +273,12 @@ def representation_residual(X, x, n, radius=1.0, level=0):
 
     X is a vectorized callable mapping (M, n) points to (M, n) one-form
     values, smooth and supported strictly inside the ball (so the boundary
-    terms of the representation formula drop).  Returns
+    terms of the representation formula drop).  The points X gets for
+    lame(X) are coordinate-major (F-contiguous) float arrays, so a
+    reduction over their last axis runs over contiguous columns; a
+    callable whose reduction order follows the layout (np.einsum, matmul)
+    may move the result at roundoff.  X(x) itself is called once on
+    x[None, :].  Returns
 
         max_i | X_i(x) - int G_i(x-y)_j lame(X)(y)^j dy |
 

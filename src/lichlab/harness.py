@@ -55,7 +55,7 @@ from .geometry import (
     sym_weights,
     tensor_norm_squared,
 )
-from .solver import SolveOptions, solve_system
+from .solver import SolveOptions, SolverError, solve_system
 
 __all__ = [
     "parse_recipe",
@@ -439,7 +439,14 @@ def _c1_distance(g, u1, u0):
 
 
 def run_sweep(cfg: SweepConfig):
-    """Solve along the perturbation schedule and classify the trajectory."""
+    """Solve along the perturbation schedule and classify the trajectory.
+
+    The base solve is the sweep's precondition: its SolverError propagates
+    and a non-converged base raises RuntimeError.  A perturbed row whose
+    solve raises SolverError is recorded with converged=False and NaN
+    measures, so the verdict is NonConvergent; the next row warm-starts
+    from the last solution.
+    """
     g = cfg.geometry
     _, B0 = coefficients(cfg.base)
     base_regime = classify(B0)
@@ -458,9 +465,17 @@ def run_sweep(cfg: SweepConfig):
     for alpha, eps in zip(cfg.alphas, cfg.epsilons):
         data = _perturbed_data(cfg, eps)
         C = normalize(data, h_override=cfg.h_override)
-        sol = solve_system(C, replace(cfg.solver, initial_guess=warm))
-        LW = conformal_killing_deriv(sol.W)
         _, B = coefficients(data)
+        try:
+            sol = solve_system(C, replace(cfg.solver, initial_guess=warm))
+        except SolverError:
+            nan = float("nan")
+            rows.append(SweepRow(
+                alpha=alpha, eps=eps, sup_u=nan, inf_u=nan, sup_LW=nan,
+                scalar_residual=nan, momentum_residual=nan, kernel_defect=nan,
+                converged=False, regime=classify(B), diff_prev=nan))
+            continue
+        LW = conformal_killing_deriv(sol.W)
         rows.append(SweepRow(
             alpha=alpha, eps=eps,
             sup_u=float(np.max(sol.u.values)),

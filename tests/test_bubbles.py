@@ -10,7 +10,6 @@ from lichlab.bubbles import (
     asympt_LV,
     blowup_constants,
     bubble,
-    bubble_laplacian,
     quad_LP,
     quad_LV,
     standard_profile,
@@ -56,16 +55,6 @@ class TestBubbleValues:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(50, 3))
         assert np.all(theta(0.3, z) >= 0.3)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_pde_residual_closed_form(self, n):
-        rng = np.random.default_rng(100 + n)
-        p = BubbleParams(n=n, mu=rng.uniform(0.05, 2.0),
-                         f_center=rng.uniform(0.5, 5.0))
-        x = rng.normal(size=(100, n)) * 3.0
-        lhs = bubble_laplacian(p, x)
-        rhs = p.f_center * bubble(p, x) ** (2.0 * n / (n - 2.0) - 1.0)
-        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-8
 
 
 class TestConstants:

@@ -379,32 +379,35 @@ def rel_err(out, ref):
     return np.max(np.abs(out - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
 
-resolutions = st.sampled_from([8, 9, 12, 15, 16])
+# resolutions per dimension: odd and even, with and without a Nyquist mode
+resolutions = {3: st.sampled_from([8, 9, 12, 15, 16]),
+               4: st.sampled_from([8, 9, 12])}
 backend_settings = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def torus_draws(draw, below_nyquist=False):
+def torus_draws(draw, n, below_nyquist=False):
     """(torus, rng, kmax); kmax reaches the Nyquist mode unless told not to."""
-    N = draw(resolutions)
+    N = draw(resolutions[n])
     top = (N - 1) // 2 if below_nyquist else N // 2
     kmax = draw(st.integers(1, top))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return Torus(3, N), np.random.default_rng(seed), kmax
+    return Torus(n, N), np.random.default_rng(seed), kmax
 
 
+@pytest.mark.parametrize("n", [3, 4])
 class TestHalfSpectrumBackend:
     @backend_settings
-    @given(torus_draws())
-    def test_scalar_operators_match_reference(self, draw):
-        g, rng, kmax = draw
+    @given(data=st.data())
+    def test_scalar_operators_match_reference(self, n, data):
+        g, rng, kmax = data.draw(torus_draws(n))
         f = bandlimited_values(g, rng, (), kmax)
         F = ScalarField(g, f)
         k2 = np.sum(ref_wavevectors(g, odd=False) ** 2, axis=0)
         d = ref_partials(g, f)
         assert rel_err(laplace_beltrami(F).values, ref_multiply(g, k2, f)) < 1e-12
         assert rel_err(gradient(F).values, d) < 1e-12
-        for a in range(3):
+        for a in range(n):
             assert rel_err(partial_deriv(g, f, a), d[a]) < 1e-12
         # a leading component axis is differentiated as one batch
         fs = bandlimited_values(g, rng, (2,), kmax)
@@ -412,27 +415,27 @@ class TestHalfSpectrumBackend:
         assert rel_err(g.laplacian(fs), ref_multiply(g, k2, fs)) < 1e-12
 
     @backend_settings
-    @given(torus_draws())
-    def test_oneform_operators_match_reference(self, draw):
-        g, rng, kmax = draw
-        w = bandlimited_values(g, rng, (3,), kmax)
+    @given(data=st.data())
+    def test_oneform_operators_match_reference(self, n, data):
+        g, rng, kmax = data.draw(torus_draws(n))
+        w = bandlimited_values(g, rng, (n,), kmax)
         W = OneFormField(g, w)
-        dW = np.stack([ref_partials(g, w[j]) for j in range(3)], axis=1)
+        dW = np.stack([ref_partials(g, w[j]) for j in range(n)], axis=1)
         div = np.trace(dW)
-        ref_L = np.stack([dW[i, j] + dW[j, i] - (2.0 / 3.0) * div * (i == j)
-                          for i, j in sym_index(3)])
+        ref_L = np.stack([dW[i, j] + dW[j, i] - (2.0 / n) * div * (i == j)
+                          for i, j in sym_index(n)])
         assert rel_err(g.grad(w), dW) < 1e-12
         assert rel_err(divergence(W).values, div) < 1e-12
         assert rel_err(conformal_killing_deriv(W).values, ref_L) < 1e-12
         # div contracts the first index of a 2-tensor: d_j T[j, i]
-        T = bandlimited_values(g, rng, (3, 3), kmax)
-        ref_divT = sum(ref_partials(g, T[j])[j] for j in range(3))
+        T = bandlimited_values(g, rng, (n, n), kmax)
+        ref_divT = sum(ref_partials(g, T[j])[j] for j in range(n))
         assert rel_err(g.div(T), ref_divT) < 1e-12
         # div_sym takes the packed components of a symmetric tensor
         S = SymTensorField.from_full(g, T + np.swapaxes(T, 0, 1))
         assert rel_err(g.div_sym(S.values), g.div(S.full())) < 1e-12
 
-        axes = (1, 2, 3)
+        axes = tuple(range(1, n + 1))
         what = np.moveaxis(np.fft.fftn(w, axes=axes), 0, -1)
         ref_lame = np.real(np.fft.ifftn(np.moveaxis(
             np.einsum("...ij,...j->...i", ref_lame_symbol(g), what), -1, 0),
@@ -443,53 +446,53 @@ class TestHalfSpectrumBackend:
         assert abs(h1_norm_squared(W) - ref_h1) < 1e-12 * ref_h1
 
     @backend_settings
-    @given(torus_draws())
-    def test_lame_invert_matches_reference(self, draw):
-        g, rng, kmax = draw
-        f = bandlimited_values(g, rng, (3,), kmax)
-        axes = (1, 2, 3)
+    @given(data=st.data())
+    def test_lame_invert_matches_reference(self, n, data):
+        g, rng, kmax = data.draw(torus_draws(n))
+        f = bandlimited_values(g, rng, (n,), kmax)
+        axes = tuple(range(1, n + 1))
         fhat = np.moveaxis(np.fft.fftn(f, axes=axes), 0, -1)
-        fhat[(0,) * 3] = 0.0
+        fhat[(0,) * n] = 0.0
         sym = ref_lame_symbol(g)
-        sym[(0,) * 3] = np.eye(3)
+        sym[(0,) * n] = np.eye(n)
         what = np.linalg.solve(sym, fhat[..., None])[..., 0]
         ref = np.real(np.fft.ifftn(np.moveaxis(what, -1, 0), axes=axes))
         W, _ = lame_invert(OneFormField(g, f))
         assert rel_err(W.values, ref) < 1e-12
 
     @backend_settings
-    @given(torus_draws())
-    def test_lame_of_lame_invert_is_mean_free_part(self, draw):
-        g, rng, kmax = draw
-        F = OneFormField(g, bandlimited_values(g, rng, (3,), kmax)
-                         + rng.normal(size=(3, 1, 1, 1)))
+    @given(data=st.data())
+    def test_lame_of_lame_invert_is_mean_free_part(self, n, data):
+        g, rng, kmax = data.draw(torus_draws(n))
+        F = OneFormField(g, bandlimited_values(g, rng, (n,), kmax)
+                         + rng.normal(size=(n,) + (1,) * n))
         W, defect = lame_invert(F)
-        mean = np.mean(F.values, axis=(1, 2, 3), keepdims=True)
+        mean = np.mean(F.values, axis=tuple(range(1, n + 1)), keepdims=True)
         assert rel_err(lame(W).values, F.values - mean) < 1e-12
         assert defect == pytest.approx(
             np.linalg.norm(mean) * np.sqrt(g.volume), rel=1e-12)
 
     @backend_settings
-    @given(torus_draws())
-    def test_lame_is_self_adjoint(self, draw):
-        g, rng, kmax = draw
-        V = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
-        W = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
+    @given(data=st.data())
+    def test_lame_is_self_adjoint(self, n, data):
+        g, rng, kmax = data.draw(torus_draws(n))
+        V = OneFormField(g, bandlimited_values(g, rng, (n,), kmax))
+        W = OneFormField(g, bandlimited_values(g, rng, (n,), kmax))
         lhs = l2_inner(g, lame(V).values, W.values)
         rhs = l2_inner(g, V.values, lame(W).values)
         assert abs(lhs - rhs) < 1e-12 * np.sqrt(h1_norm_squared(V) * h1_norm_squared(W))
 
     @backend_settings
-    @given(torus_draws(below_nyquist=True))
-    def test_energy_identity(self, draw):
+    @given(data=st.data())
+    def test_energy_identity(self, n, data):
         # with Nyquist content lame keeps |k|^2 where L drops k, so the
         # identity holds for fields below the Nyquist mode
-        g, rng, kmax = draw
-        W = OneFormField(g, bandlimited_values(g, rng, (3,), kmax))
+        g, rng, kmax = data.draw(torus_draws(n, below_nyquist=True))
+        W = OneFormField(g, bandlimited_values(g, rng, (n,), kmax))
         LW = conformal_killing_deriv(W)
         lhs = l2_inner(g, lame(W).values, W.values)
-        rhs = 0.5 * l2_inner(g, LW.values * sym_weights(3)[
-            :, None, None, None], LW.values)
+        weights = sym_weights(n).reshape((-1,) + (1,) * n)
+        rhs = 0.5 * l2_inner(g, LW.values * weights, LW.values)
         assert abs(lhs - rhs) < 1e-12 * h1_norm_squared(W)
 
 

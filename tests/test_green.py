@@ -18,10 +18,10 @@ from lichlab.green import (
 
 
 def poly_bump(pts, rho=0.8):
-    """Compactly supported one-form (1 - (r/rho)^2)^8 e_1."""
+    """Compactly supported one-form (1 - (r/rho)^2)^8 e_1 in any dimension."""
     pts = np.atleast_2d(pts)
     r2 = np.sum(pts ** 2, axis=-1) / rho ** 2
-    out = np.zeros((pts.shape[0], 3))
+    out = np.zeros(pts.shape)
     m = r2 < 1.0
     out[m, 0] = (1.0 - r2[m]) ** 8
     return out
@@ -69,13 +69,24 @@ class TestLameStencil:
         offsets = []
 
         def X(p):
-            assert p.shape == pts.shape
+            assert p.shape == pts.shape and p.dtype == float
+            assert p.flags.f_contiguous          # coordinate-major points
             offsets.append(tuple(np.rint((p[0] - pts[0]) / h).astype(int)))
             return np.sin(p)
 
         _lame_fd(X, pts, h, n)
         assert len(offsets) == calls
         assert len(set(offsets)) == calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_point_layout_does_not_change_values(self, n, M, seed):
+        pts = np.random.default_rng(seed).uniform(-0.7, 0.7, size=(M, n))
+        for X in (poly_bump, lambda p: fundamental(p, n)):
+            c_order = _lame_fd(X, np.ascontiguousarray(pts), 0.01, n)
+            f_order = _lame_fd(X, np.asfortranarray(pts), 0.01, n)
+            assert np.array_equal(c_order, f_order)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))

@@ -10,6 +10,7 @@ import lichlab.harness as harness
 from lichlab.cli import main as cli_main
 from lichlab.conformal import Potential
 from lichlab.geometry import OneFormField, Torus
+from lichlab.solver import NewtonDivergedError
 from lichlab.harness import (
     SweepConfig,
     load_config,
@@ -150,6 +151,43 @@ class TestSweep:
         assert report.rows[-1].sup_u < 0.2
         # first alternative: the momentum equation settles at lame W = Y
         assert report.rows[-1].momentum_residual < 1e-10
+
+    def test_failing_row_is_recorded_not_raised(self, focusing_cfg,
+                                                monkeypatch, tmp_path):
+        focusing_cfg.alphas = (1, 2, 3, 4)
+        solve = harness.solve_system
+        guesses, solutions = [], []
+
+        def failing_third_call(C, opts):
+            guesses.append(opts.initial_guess)
+            if len(guesses) == 3:
+                raise NewtonDivergedError("forced failure")
+            solutions.append(solve(C, opts))
+            return solutions[-1]
+
+        monkeypatch.setattr(harness, "solve_system", failing_third_call)
+        report = run_sweep(focusing_cfg)
+        assert len(guesses) == 5 and len(report.rows) == 4
+        failed = report.rows[1]
+        assert not failed.converged
+        assert failed.regime == report.rows[0].regime
+        for name in ("sup_u", "inf_u", "sup_LW", "scalar_residual",
+                     "momentum_residual", "kernel_defect", "diff_prev"):
+            assert np.isnan(getattr(failed, name))
+        assert all(r.converged for r in report.rows[::2] + report.rows[3:])
+        # the row after the failure warm-starts from the last solution
+        assert guesses[3] is solutions[1].u
+        assert report.verdict == "NonConvergent"
+        write_csv(str(tmp_path / "rows.csv"), report.rows)
+        assert ",nan," in (tmp_path / "rows.csv").read_text()
+
+    def test_failing_base_solve_raises(self, focusing_cfg, monkeypatch):
+        def failing(C, opts):
+            raise NewtonDivergedError("forced failure")
+
+        monkeypatch.setattr(harness, "solve_system", failing)
+        with pytest.raises(NewtonDivergedError):
+            run_sweep(focusing_cfg)
 
     def test_schedule_must_decrease(self, focusing_cfg):
         with pytest.raises(ValueError):
