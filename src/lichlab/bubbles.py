@@ -44,7 +44,6 @@ __all__ = [
     "QuadratureBudgetError",
     "bubble",
     "bubble_laplacian",
-    "standard_profile",
     "theta",
     "blowup_constants",
     "quad_LV",
@@ -113,13 +112,6 @@ def bubble_laplacian(p: BubbleParams, x):
     base = p.mu ** 2 + p.curvature_scale * r2
     return (p.mu ** ((p.n - 2.0) / 2.0) * p.n * (p.n - 2.0)
             * p.curvature_scale * p.mu ** 2 * base ** (-p.n / 2.0 - 1.0))
-
-
-def standard_profile(n, f0, x):
-    """Unit-height profile, value 1 at the origin."""
-    if f0 <= 0.0:
-        raise ValueError("f0 must be positive")
-    return bubble(BubbleParams(n=n, mu=1.0, f_center=f0), x)
 
 
 def theta(mu, z):

@@ -647,10 +647,6 @@ def l2_inner(g, a, b):
     return float(g.integrate(a * b))
 
 
-def l2_norm(g, a):
-    return float(np.sqrt(max(l2_inner(g, a, a), 0.0)))
-
-
 def h1_norm_squared(W):
     """H^1 norm squared of a torus one-form, |W|_2^2 + |dW|_2^2."""
     g = W.geometry

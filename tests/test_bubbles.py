@@ -12,7 +12,6 @@ from lichlab.bubbles import (
     bubble,
     quad_LP,
     quad_LV,
-    standard_profile,
     theta,
 )
 from lichlab.quadrature import sphere_area
@@ -37,17 +36,6 @@ class TestBubbleValues:
             pl = BubbleParams(n=5, mu=lam * 0.3, f_center=2.0)
             assert bubble(p, x) == pytest.approx(
                 lam ** 1.5 * bubble(pl, lam * x), rel=1e-12)
-
-    def test_standard_profile_normalization(self):
-        assert standard_profile(4, 8.0, np.zeros(4)) == pytest.approx(1.0)
-        assert standard_profile(4, 8.0, np.array([1.0, 0, 0, 0])) \
-            == pytest.approx(0.5)
-
-    def test_standard_profile_is_unit_bubble(self):
-        rng = np.random.default_rng(1)
-        p = BubbleParams(n=3, mu=1.0, f_center=2.5)
-        x = rng.normal(size=(20, 3))
-        assert np.allclose(standard_profile(3, 2.5, x), bubble(p, x))
 
     def test_theta(self):
         assert theta(3.0, np.array([0.0, 4.0, 0.0])) == pytest.approx(5.0)

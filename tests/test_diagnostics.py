@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lichlab.diagnostics as diagnostics
-from lichlab.bubbles import BubbleParams, bubble, standard_profile
+from lichlab.bubbles import BubbleParams, bubble
 from lichlab.conformal import SystemCoefficients
 from lichlab.diagnostics import (
     conformal_covariance_residuals,
@@ -40,7 +40,7 @@ class TestHarnack:
     def test_profile_on_unit_ball(self):
         g = Chart(3, 65, extent=1.0)
         pts = chart_points(g)
-        vals = standard_profile(3, 3.0, pts)
+        vals = bubble(BubbleParams(n=3, mu=1.0, f_center=3.0), pts)
         r = np.linalg.norm(pts, axis=-1)
         inner = r <= 1.0
         # sup = 1 at the origin, inf = (1 + 1)^{-1/2} on the sphere

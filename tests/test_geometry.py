@@ -15,7 +15,6 @@ from lichlab.geometry import (
     gradient,
     h1_norm_squared,
     l2_inner,
-    l2_norm,
     lame,
     lame_invert,
     laplace_beltrami,
@@ -497,10 +496,6 @@ class TestHalfSpectrumBackend:
 
 
 class TestSphereQuadrature:
-    def test_l2_norm_of_one(self):
-        norm = l2_norm(SphereRadial(64), np.ones(64))
-        assert norm == pytest.approx(np.sqrt(2.0 * np.pi ** 2), rel=1e-5)
-
     def test_volume_tends_to_round_s3(self):
         # the poles' caps left out have volume (8 pi / 3) eps^3 + O(eps^5)
         errors = []

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import lichlab.harness as harness
 from lichlab.cli import main as cli_main
-from lichlab.conformal import Potential
+from lichlab.conformal import Potential, classify, coefficients
 from lichlab.geometry import OneFormField, Torus
-from lichlab.solver import NewtonDivergedError
+from lichlab.solver import NewtonDivergedError, SolverError
 from lichlab.harness import (
     SweepConfig,
     load_config,
@@ -76,6 +76,38 @@ VANISHING_INI = textwrap.dedent("""\
 
     [solver]
     tol_residual = 1e-10
+    coercivity_check = strict
+    """)
+
+
+# configs/sweep_focusing.ini, without its output paths, with pi = 0 and tau
+# shifted to offset 2: the data leave the focusing regime the stability
+# hypotheses ask for
+HYPOTHESES_BROKEN_INI = textwrap.dedent("""\
+    [geometry]
+    kind = torus
+    dimension = 3
+    resolution = 16
+
+    [data]
+    psi = cosine(amp=1.0, k=1:0:0)
+    pi = constant(value=0)
+    tau = cosine(amp=0.3, k=1:0:0, offset=2.0)
+    sigma = zero()
+    potential = quadratic(c0=1.0, c2=0.06)
+    h = constant(value=1.0)
+
+    [schedule]
+    alphas = 1 2 3 4 5 6 7 8
+    perturb_tau = cosine(amp=1.0, k=0:2:0)
+    perturb_psi = cosine(amp=1.0, k=0:0:2)
+    perturb_pi = cosine(amp=1.0, k=2:0:0)
+    perturb_potential = quadratic(c2=1.0)
+
+    [solver]
+    max_outer = 80
+    tol_residual = 1e-10
+    damping = 0.7
     coercivity_check = strict
     """)
 
@@ -188,6 +220,19 @@ class TestSweep:
         monkeypatch.setattr(harness, "solve_system", failing)
         with pytest.raises(NewtonDivergedError):
             run_sweep(focusing_cfg)
+
+    def test_data_breaking_the_hypotheses_raise_a_typed_error(self,
+                                                              tmp_path):
+        # tau^2 outweighs 2 V(psi) on most of the torus, so B changes sign,
+        # and pi = 0 takes away b = c pi^2, the floor of a(W): the base
+        # solve must fail with a typed error, not return a solution
+        path = tmp_path / "broken.ini"
+        path.write_text(HYPOTHESES_BROKEN_INI)
+        cfg = load_config(str(path))
+        assert classify(coefficients(cfg.base)[1]) == "Mixed"
+        assert not np.any(cfg.base.pi.values)
+        with pytest.raises(SolverError):
+            run_sweep(cfg)
 
     def test_schedule_must_decrease(self, focusing_cfg):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Repository settings: the pytest settings in pyproject.toml, no unused
-imports in the package, its tests and its demos, and no stale ``__all__``
-entry in the package."""
+imports in the package, its tests and its demos, no stale ``__all__``
+entry in the package, and the two quick demos run without a warning."""
 
 import ast
 import importlib
@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -91,3 +93,14 @@ def test_import_leaves_scipy_integrate_unloaded():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert run.stdout.strip() == "False", run.stdout + run.stderr
+
+
+# the other demos take 4-12 s each
+@pytest.mark.parametrize("demo", ["demo_operators.py",
+                                  "demo_stability_sweep.py"])
+def test_demo_runs_without_warning(demo, tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import lichlab.solver as solver
@@ -18,6 +22,7 @@ from lichlab.solver import (
     NewtonDivergedError,
     NonCoerciveError,
     SolveOptions,
+    check_coercivity,
     constant_balance_root,
     manufactured_forcing,
     momentum_residual_field,
@@ -81,6 +86,86 @@ class TestMomentum:
         u_vals = 1.0 + 0.3 * np.cos(x[0]) + np.zeros(g.grid_shape)
         _, defect = solve_momentum(ScalarField(g, u_vals), C)
         assert defect < 1e-13
+
+
+def smooth_well(g, depth, width, center):
+    """-depth exp(-d^2/width), d^2 = sum 2(1 - cos(x_a - c_a)) periodic."""
+    x = g.coords()
+    d2 = sum(2.0 * (1.0 - np.cos(xa - ca)) for xa, ca in zip(x, center))
+    return -depth * np.exp(-d2 / width)
+
+
+def eigsh_smallest(g, h):
+    """Reference smallest eigenvalue of lap + h by ARPACK."""
+    shape = g.grid_shape
+    size = h.size
+    op = spla.LinearOperator(
+        (size, size), dtype=float,
+        matvec=lambda v: (g.laplacian(v.reshape(shape))
+                          + h * v.reshape(shape)).ravel())
+    v0 = np.random.default_rng(0).random(size)
+    return float(spla.eigsh(op, k=1, which="SA", v0=v0,
+                            return_eigenvectors=False)[0])
+
+
+class TestCoercivity:
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_deep_narrow_well_rejected(self, N):
+        # h = 1 - 41 exp(-|x - pi|^2/0.09) is positive away from the well,
+        # but the smallest eigenvalue of lap + h is about -0.035; an upper
+        # bound such as a 20-step Lanczos Ritz value stays positive here
+        g = Torus(3, N)
+        r2 = sum((xa - np.pi) ** 2 for xa in g.coords())
+        C = make_coeffs(g, h=1.0 - 41.0 * np.exp(-r2 / 0.09))
+        with pytest.raises(NonCoerciveError):
+            check_coercivity(C, "strict")
+
+    @settings(max_examples=20, deadline=None)
+    @given(depth=st.floats(0.0, 40.0), width=st.floats(0.09, 1.0),
+           center=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3),
+           target=st.floats(1e-3, 1.0), negative=st.booleans())
+    def test_smallest_eigenvalue_matches_eigsh(self, depth, width, center,
+                                               target, negative):
+        # a constant shift moves every eigenvalue by itself, so the drawn
+        # well is shifted until eigsh puts its smallest eigenvalue at target
+        g = Torus(3, 16)
+        well = smooth_well(g, depth, width, center)
+        target = -target if negative else target
+        h = well + (target - eigsh_smallest(g, well))
+        C = make_coeffs(g, h=h)
+        if negative:
+            for mode in ("strict", "weak"):
+                with pytest.raises(NonCoerciveError):
+                    check_coercivity(C, mode)
+        else:
+            assert abs(check_coercivity(C, "strict") - target) < 1e-6
+
+    def test_constant_h(self, torus16):
+        assert check_coercivity(make_coeffs(torus16, h=1.0)) == \
+            pytest.approx(1.0, abs=1e-12)
+        # the constants are a null mode of lap: weak passes, strict does not
+        assert abs(check_coercivity(make_coeffs(torus16, h=0.0), "weak")) \
+            < 1e-12
+        with pytest.raises(NonCoerciveError):
+            check_coercivity(make_coeffs(torus16, h=0.0), "strict")
+
+    def test_unconverged_eigensolve_raises_without_warning(self, torus16,
+                                                           monkeypatch):
+        # lobpcg reports non-convergence only by a UserWarning
+        lobpcg = solver.spla.lobpcg
+
+        def unconverged(*args, **kwargs):
+            warnings.warn("Exited at iteration 100 with accuracies [1e-3] "
+                          "not reaching the requested tolerance 1e-08.",
+                          UserWarning)
+            return lobpcg(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "lobpcg", unconverged)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonCoerciveError):
+                check_coercivity(make_coeffs(torus16), "strict")
+        assert not caught
 
 
 class TestScalar:
