@@ -45,9 +45,9 @@ print("\nfar-field agreement, quadrature vs closed-form leading term:")
 print("|z|/mu    first-order dev    second-order dev    theta(z)")
 for fac in (20.0, 50.0, 100.0, 200.0):
     z = fac * p.mu * zhat
-    qv = quad_LV(d.eps * d.zeta0, p, z).matrix
+    qv = quad_LV(d.eps * d.zeta0, p, z)
     av = asympt_LV(d, p, z)
-    qp = quad_LP(d.beta_k[0] * d.zeta_k[0], p, z, 0).matrix
+    qp = quad_LP(d.beta_k[0] * d.zeta_k[0], p, z, 0)
     ap = asympt_LP(d, p, z, 0)
     print(f"{fac:>5.0f}     {np.linalg.norm(qv - av) / np.linalg.norm(av):.4f}"
           f"             {np.linalg.norm(qp - ap) / np.linalg.norm(ap):.4f}"

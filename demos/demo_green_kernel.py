@@ -32,13 +32,13 @@ print("stress kernel trace over (i, j):",
 print("\nconformal Killing space on the unit ball:")
 kb = killing_basis(3, 1.0)
 print(f"  dimension = {len(kb)}  (= (n+1)(n+2)/2 for n = 3)")
-vals = kb.evaluate(kb.quad.points)
-gram = np.einsum("aMi,bMi,M->ab", vals, vals, kb.quad.weights)
+vals = kb.evaluate(kb.points)
+gram = np.einsum("aMi,bMi,M->ab", vals, vals, kb.weights)
 print("  orthonormality defect:", np.max(np.abs(gram - np.eye(len(kb)))))
 pts = rng.uniform(-0.5, 0.5, size=(20, 3))
 print("  sup |L K| over the basis:", np.max(np.abs(kb.killing_deriv(pts))))
 
-X = rng.normal(size=(kb.quad.node_count, 3))
+X = rng.normal(size=(len(kb.weights), 3))
 PX = project_killing(X, kb)
 print("  projection idempotence:",
       np.max(np.abs(project_killing(PX, kb) - PX)))

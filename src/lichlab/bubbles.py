@@ -13,7 +13,9 @@ that each can serve as the other's oracle.  The quadrature integrates
 ``green.stress_contraction``, the Lame kernel's Killing-derivative stress,
 over ``quadrature.singular_shells``: a polar patch about the evaluation
 point and bubble-centered shells, the same partition of unity as the
-representation probe in ``green``.
+representation probe in ``green``.  The rule sizes, truncation radius and
+tail tolerance are module constants; a point z whose analytic tail past
+the truncation radius exceeds the tolerance raises QuadratureBudgetError.
 
 Constants (omega_d = area of the d-sphere in R^{d+1}):
 
@@ -39,8 +41,6 @@ from .quadrature import singular_shells, sphere_area, unit_sphere_rule
 __all__ = [
     "BubbleParams",
     "DirectionData",
-    "QuadSpec",
-    "QuadResult",
     "QuadratureBudgetError",
     "bubble",
     "bubble_laplacian",
@@ -54,7 +54,7 @@ __all__ = [
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Truncation tail bound exceeded the requested tolerance."""
+    """Analytic tail bound past the truncation radius exceeds the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -196,24 +196,14 @@ def asympt_LP(d: DirectionData, p: BubbleParams, z, k):
 # direct quadrature of the convolution one-forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadSpec:
-    radial_order: int = 20
-    polar_order: int = 48
-    azimuth_order: int = 96
-    patch_polar_order: int = 32
-    patch_azimuth_order: int = 64
-    trunc_factor: float = 1.0e3     # truncation radius in units of mu
-    tail_tol: float = 1.0e-6
-
-
-@dataclass
-class QuadResult:
-    matrix: np.ndarray
-    tail_bound: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
+# quadrature sizes: Gauss order of every radial panel, the bulk and patch
+# sphere rules (polar x azimuth orders), the truncation radius in units of
+# mu, and the largest analytic tail bound accepted past it
+_RADIAL_ORDER = 20
+_BULK_SPHERE = (48, 96)
+_PATCH_SPHERE = (32, 64)
+_TRUNC_FACTOR = 1.0e3
+_TAIL_TOL = 1.0e-6
 
 
 def _profile_power(p, pts):
@@ -235,7 +225,7 @@ def _tail_mass(p, radius, moment=0):
             * sphere_area(n - 1) * total * frac)
 
 
-def _moment_quadrature(p, z, vec, spec, moment_axis=None):
+def _moment_quadrature(p, z, vec, moment_axis=None):
     """Quadrature of  int m(y) B^{2*}(y) H(z - y) vec dy  with a
     partition-of-unity patch around the kernel singularity; m = 1 or y_k."""
     n = p.n
@@ -244,7 +234,7 @@ def _moment_quadrature(p, z, vec, spec, moment_axis=None):
     if dist == 0.0:
         raise ValueError("z must differ from the bubble center")
     rho = 0.5 * dist
-    trunc = max(spec.trunc_factor * p.mu, 5.0 * dist)
+    trunc = max(_TRUNC_FACTOR * p.mu, 5.0 * dist)
 
     # bulk: bubble-centered radial panels out to the truncation radius
     edges = [0.0, 0.5 * p.mu]
@@ -256,12 +246,10 @@ def _moment_quadrature(p, z, vec, spec, moment_axis=None):
     # the patch about z has geometric panels toward the singularity
     total = np.zeros((n, n))
     for y, wt in singular_shells(
-            z, rho, spec.radial_order,
+            z, rho, _RADIAL_ORDER,
             np.concatenate([[0.0], np.geomspace(1e-3 * rho, 1.5 * rho, 12)]),
-            unit_sphere_rule(n, spec.patch_polar_order,
-                             spec.patch_azimuth_order),
-            p.center, edges,
-            unit_sphere_rule(n, spec.polar_order, spec.azimuth_order)):
+            unit_sphere_rule(n, *_PATCH_SPHERE),
+            p.center, edges, unit_sphere_rule(n, *_BULK_SPHERE)):
         fac = wt * _profile_power(p, y)
         if moment_axis is not None:
             fac = fac * (y[:, moment_axis] - p.center[moment_axis])
@@ -271,34 +259,31 @@ def _moment_quadrature(p, z, vec, spec, moment_axis=None):
     c_h = 2.0 * n * _kappa(n) * n * (n + 2.0)
     moment = 0 if moment_axis is None else 1
     tail = c_h * (trunc - dist) ** (1.0 - n) * _tail_mass(p, trunc, moment)
-    if tail > spec.tail_tol:
+    if tail > _TAIL_TOL:
         raise QuadratureBudgetError(
-            f"tail bound {tail:.3e} exceeds tolerance {spec.tail_tol:.1e}; "
-            "raise trunc_factor")
-    return QuadResult(matrix=total, tail_bound=float(tail))
+            f"tail bound {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e}")
+    return total
 
 
-def quad_LV(X0, p: BubbleParams, z, spec: QuadSpec = None):
+def quad_LV(X0, p: BubbleParams, z):
     """Killing derivative at z of the first-order convolution one-form.
 
     X0 is the (unnormalized) one-form coefficient at the center; the result
-    is linear in it.
+    is an (n, n) matrix, linear in it.
     """
-    spec = spec or QuadSpec()
     X0 = np.asarray(X0, dtype=float)
     if np.allclose(X0, 0.0):
-        return QuadResult(matrix=np.zeros((p.n, p.n)), tail_bound=0.0)
-    return _moment_quadrature(p, z, X0, spec)
+        return np.zeros((p.n, p.n))
+    return _moment_quadrature(p, z, X0)
 
 
-def quad_LP(dX0_k, p: BubbleParams, z, k, spec: QuadSpec = None):
+def quad_LP(dX0_k, p: BubbleParams, z, k):
     """Killing derivative at z of the k-th first-moment convolution one-form.
 
     dX0_k is the (unnormalized) k-th directional derivative of the one-form
-    coefficient at the center.
+    coefficient at the center; the result is an (n, n) matrix.
     """
-    spec = spec or QuadSpec()
     dX0_k = np.asarray(dX0_k, dtype=float)
     if np.allclose(dX0_k, 0.0):
-        return QuadResult(matrix=np.zeros((p.n, p.n)), tail_bound=0.0)
-    return _moment_quadrature(p, z, dX0_k, spec, moment_axis=k)
+        return np.zeros((p.n, p.n))
+    return _moment_quadrature(p, z, dX0_k, moment_axis=k)

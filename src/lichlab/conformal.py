@@ -140,12 +140,6 @@ class SystemCoefficients:
             S.values += self.U.values       # the fresh L W becomes U + L W
         return self.b.values + self.gamma * tensor_norm_squared(S)
 
-    def replace(self, **kw):
-        data = dict(h=self.h, f=self.f, b=self.b, U=self.U,
-                    X=self.X, Y=self.Y, gamma=self.gamma)
-        data.update(kw)
-        return SystemCoefficients(**data)
-
 
 @dataclass
 class InitialDataSet:

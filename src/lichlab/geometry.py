@@ -188,10 +188,6 @@ class _Box:
         return (self.resolution,) * self.dimension
 
     @property
-    def node_count(self):
-        return self.resolution ** self.dimension
-
-    @property
     def one_form_shape(self):
         return (self.dimension,) + self.grid_shape
 
@@ -350,10 +346,6 @@ class SphereRadial:
     @property
     def one_form_shape(self):
         return self.grid_shape
-
-    @property
-    def node_count(self):
-        return self.resolution
 
     @cached_property
     def r(self):

@@ -17,7 +17,9 @@ singularity and the matrix is symmetric and homogeneous of degree 2-n.
 
 On a ball, the kernel of the conformal Killing derivative has dimension
 (n+1)(n+2)/2, spanned by translations, rotations, the dilation and the
-special conformal generators |x|^2 e_i - 2 x_i x.
+special conformal generators |x|^2 e_i - 2 x_i x.  ``killing_basis``
+orthonormalizes them in a (points, weights) ball rule from
+``quadrature.ball_rule`` and keeps that rule for ``project_killing``.
 """
 
 from __future__ import annotations
@@ -175,32 +177,14 @@ def _eval_generators(n, pts):
 
 
 @dataclass
-class BallQuadrature:
-    n: int
-    radius: float
-    radial_order: int = 24
-    polar_order: int = 24
-    azimuth_order: int = 48
-    panels: int = 4
-
-    def __post_init__(self):
-        self.points, self.weights = ball_rule(
-            self.n, self.radius, self.panels, self.radial_order,
-            unit_sphere_rule(self.n, self.polar_order, self.azimuth_order))
-
-    @property
-    def node_count(self):
-        return self.points.shape[0]
-
-
-@dataclass
 class KillingBasis:
     """L^2-orthonormal basis of the conformal Killing space on a ball."""
 
     n: int
     radius: float
     coeffs: np.ndarray = field(repr=False)     # (m, m) over the generators
-    quad: BallQuadrature = field(repr=False, default=None)
+    points: np.ndarray = field(repr=False)     # (M, n) ball quadrature nodes
+    weights: np.ndarray = field(repr=False)    # (M,) their weights
 
     def __len__(self):
         return self.coeffs.shape[0]
@@ -231,36 +215,44 @@ class KillingBasis:
         return L
 
 
-def killing_basis(n, radius, quad: BallQuadrature = None):
-    """Orthonormalized conformal Killing basis on the ball of given radius."""
+def killing_basis(n, radius, rule=None):
+    """Orthonormalized conformal Killing basis on the ball of given radius.
+
+    rule is a (points (M, n), weights (M,)) quadrature of the ball, as from
+    ``quadrature.ball_rule``; by default 4 radial panels of 24 Gauss points
+    times the 24 x 48 sphere rule.
+    """
     if n < 3 or radius <= 0.0:
         raise ValueError("need n >= 3 and a positive radius")
-    quad = quad or BallQuadrature(n, radius)
-    gens = _eval_generators(n, quad.points)           # (m, M, n)
-    gram = np.einsum("aMi,bMi,M->ab", gens, gens, quad.weights)
+    if rule is None:
+        rule = ball_rule(n, radius, 4, 24, unit_sphere_rule(n, 24, 48))
+    points, weights = rule
+    gens = _eval_generators(n, points)                # (m, M, n)
+    gram = np.einsum("aMi,bMi,M->ab", gens, gens, weights)
     # inverse Cholesky transform orthonormalizes in the quadrature metric
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("quadrature degeneracy: Gram matrix not SPD") from exc
     coeffs = np.linalg.inv(chol.T).T                  # rows: basis over gens
-    return KillingBasis(n=n, radius=radius, coeffs=coeffs, quad=quad)
+    return KillingBasis(n=n, radius=radius, coeffs=coeffs, points=points,
+                        weights=weights)
 
 
 def project_killing(X_samples, basis: KillingBasis):
     """L^2 projection of a sampled one-form onto the Killing basis.
 
-    X_samples has shape (M, n) on the basis quadrature nodes; returns the
-    projected samples on the same nodes.
+    X_samples has shape (M, n) on the basis quadrature nodes
+    ``basis.points``; returns the projected samples on the same nodes.
     """
     X = np.asarray(X_samples, dtype=float)
-    quad = basis.quad
-    if X.shape != (quad.node_count, basis.n):
+    M = len(basis.weights)
+    if X.shape != (M, basis.n):
         raise ValueError(
             f"samples shape {X.shape} does not match the basis quadrature "
-            f"grid ({quad.node_count}, {basis.n})")
-    vals = basis.evaluate(quad.points)                # (m, M, n)
-    coef = np.einsum("qMi,Mi,M->q", vals, X, quad.weights)
+            f"grid ({M}, {basis.n})")
+    vals = basis.evaluate(basis.points)               # (m, M, n)
+    coef = np.einsum("qMi,Mi,M->q", vals, X, basis.weights)
     return np.einsum("q,qMi->Mi", coef, vals)
 
 

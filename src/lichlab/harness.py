@@ -40,7 +40,6 @@ from .conformal import (
     Potential,
     SystemCoefficients,
     classify,
-    coefficients,
     critical_exponent,
     normalize,
 )
@@ -442,19 +441,18 @@ def run_sweep(cfg: SweepConfig):
     """Solve along the perturbation schedule and classify the trajectory.
 
     The base solve is the sweep's precondition: its SolverError propagates
-    and a non-converged base raises RuntimeError.  A perturbed row whose
+    and a non-converged base raises SolverError.  A perturbed row whose
     solve raises SolverError is recorded with converged=False and NaN
     measures, so the verdict is NonConvergent; the next row warm-starts
-    from the last solution.
+    from the last solution.  Each regime is classified from the normalized
+    f = c B, which has the signs of B since c > 0.
     """
     g = cfg.geometry
-    _, B0 = coefficients(cfg.base)
-    base_regime = classify(B0)
-
     C0 = normalize(cfg.base, h_override=cfg.h_override)
+    base_regime = classify(C0.f)
     base_sol = solve_system(C0, cfg.solver)
     if not base_sol.converged:
-        raise RuntimeError(
+        raise SolverError(
             "base data solve did not converge; the sweep precondition fails "
             f"(residuals {base_sol.scalar_residual:.2e}, "
             f"{base_sol.momentum_residual:.2e})")
@@ -465,7 +463,6 @@ def run_sweep(cfg: SweepConfig):
     for alpha, eps in zip(cfg.alphas, cfg.epsilons):
         data = _perturbed_data(cfg, eps)
         C = normalize(data, h_override=cfg.h_override)
-        _, B = coefficients(data)
         try:
             sol = solve_system(C, replace(cfg.solver, initial_guess=warm))
         except SolverError:
@@ -473,7 +470,7 @@ def run_sweep(cfg: SweepConfig):
             rows.append(SweepRow(
                 alpha=alpha, eps=eps, sup_u=nan, inf_u=nan, sup_LW=nan,
                 scalar_residual=nan, momentum_residual=nan, kernel_defect=nan,
-                converged=False, regime=classify(B), diff_prev=nan))
+                converged=False, regime=classify(C.f), diff_prev=nan))
             continue
         LW = conformal_killing_deriv(sol.W)
         rows.append(SweepRow(
@@ -485,7 +482,7 @@ def run_sweep(cfg: SweepConfig):
             momentum_residual=sol.momentum_residual,
             kernel_defect=sol.kernel_defect,
             converged=sol.converged,
-            regime=classify(B),
+            regime=classify(C.f),
             diff_prev=_c1_distance(g, sol.u.values, prev_u)))
         prev_u = sol.u.values
         warm = sol.u
@@ -620,8 +617,8 @@ def check_killing(points):
 
     kb = killing_basis(3, 1.0)
     count_defect = abs(len(kb) - 10)
-    vals = kb.evaluate(kb.quad.points)
-    gram = np.einsum("aMi,bMi,M->ab", vals, vals, kb.quad.weights)
+    vals = kb.evaluate(kb.points)
+    gram = np.einsum("aMi,bMi,M->ab", vals, vals, kb.weights)
     ortho = float(np.max(np.abs(gram - np.eye(len(kb)))))
     rng = np.random.default_rng(5)
     killing = float(np.max(np.abs(kb.killing_deriv(

@@ -103,11 +103,11 @@ def homogeneous_solutions(r):
     return z1, z2
 
 
-def solve_Z(lam, grid, rtol=1e-12, atol=1e-13):
+def solve_Z(lam, grid):
     """Integrate the sourced radial equation outward from the equator.
 
     Returns (Z, Z') sampled on the grid; the integration runs separately
-    toward each pole with a high-order adaptive scheme and dense output.
+    toward each pole with DOP853 (rtol 1e-12, atol 1e-13) and dense output.
     """
     from scipy.integrate import solve_ivp    # imported here: it is slow to load
 
@@ -130,7 +130,7 @@ def solve_Z(lam, grid, rtol=1e-12, atol=1e-13):
         if not np.any(mask):
             continue
         sol = solve_ivp(rhs, (mid, end), y0, method="DOP853",
-                        dense_output=True, rtol=rtol, atol=atol)
+                        dense_output=True, rtol=1e-12, atol=1e-13)
         if not sol.success:
             raise RuntimeError(f"radial integration failed: {sol.message}")
         vals = sol.sol(grid[mask])

@@ -83,11 +83,11 @@ def test_criterion_04_asymptotics_vs_quadrature():
     worst_v = worst_p = 0.0
     for fac in (50.0, 100.0, 200.0):
         z = fac * p.mu * zhat
-        qv = quad_LV(d.eps * d.zeta0, p, z).matrix
+        qv = quad_LV(d.eps * d.zeta0, p, z)
         av = asympt_LV(d, p, z)
         worst_v = max(worst_v,
                       np.linalg.norm(qv - av) / np.linalg.norm(av))
-        qp = quad_LP(d.beta_k[0] * d.zeta_k[0], p, z, 0).matrix
+        qp = quad_LP(d.beta_k[0] * d.zeta_k[0], p, z, 0)
         ap = asympt_LP(d, p, z, 0)
         worst_p = max(worst_p,
                       np.linalg.norm(qp - ap) / np.linalg.norm(ap))

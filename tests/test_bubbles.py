@@ -5,7 +5,7 @@ from scipy.integrate import quad as quad1d
 from lichlab.bubbles import (
     BubbleParams,
     DirectionData,
-    QuadSpec,
+    QuadratureBudgetError,
     asympt_LP,
     asympt_LV,
     blowup_constants,
@@ -101,8 +101,7 @@ class TestAsymptotics:
         d = DirectionData(eps=1.0, beta_k=np.zeros(3),
                           zeta0=np.array([0.0, 1.0, 0.0]), zeta_k=np.eye(3))
         assert np.allclose(asympt_LP(d, params, np.ones(3), 1), 0.0)
-        assert np.allclose(quad_LP(np.zeros(3), params, np.ones(3), 1).matrix,
-                           0.0)
+        assert np.allclose(quad_LP(np.zeros(3), params, np.ones(3), 1), 0.0)
 
     def test_second_order_decay_rate(self, params, direction):
         z = np.array([0.4, 0.1, -0.2])
@@ -120,11 +119,12 @@ class TestAsymptotics:
 class TestQuadrature:
     def test_zero_coefficient(self, params):
         out = quad_LV(np.zeros(3), params, np.array([1.0, 0, 0]))
-        assert np.allclose(out.matrix, 0.0)
+        assert out.shape == (3, 3)
+        assert np.allclose(out, 0.0)
 
     def test_traceless_symmetric(self, params, direction):
         z = 60 * params.mu * np.array([0.5, 0.5, 1.0]) / np.sqrt(1.5)
-        out = quad_LV(direction.eps * direction.zeta0, params, z).matrix
+        out = quad_LV(direction.eps * direction.zeta0, params, z)
         scale = np.linalg.norm(out)
         assert np.allclose(out, out.T, atol=1e-8 * scale)
         assert abs(np.trace(out)) < 1e-6 * scale
@@ -132,26 +132,32 @@ class TestQuadrature:
     def test_matches_asymptotics_far_field(self, params, direction):
         z = 50 * params.mu * np.array([0.3, -0.2, 1.0]) / np.linalg.norm(
             [0.3, -0.2, 1.0])
-        qv = quad_LV(direction.eps * direction.zeta0, params, z).matrix
+        qv = quad_LV(direction.eps * direction.zeta0, params, z)
         av = asympt_LV(direction, params, z)
         assert np.linalg.norm(qv - av) / np.linalg.norm(av) < 0.05
         qp = quad_LP(direction.beta_k[0] * direction.zeta_k[0],
-                     params, z, 0).matrix
+                     params, z, 0)
         ap = asympt_LP(direction, params, z, 0)
         assert np.linalg.norm(qp - ap) / np.linalg.norm(ap) < 0.10
 
     def test_envelope_bound(self, params, direction):
         # |L V| <= C eps theta(z)^{1-n} with one fitted constant over a
         # z-grid spanning near and far field
-        spec = QuadSpec(polar_order=32, azimuth_order=64)
         zhat = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
         ratios = []
         for fac in (2.0, 5.0, 20.0, 80.0):
             z = fac * params.mu * zhat
-            out = quad_LV(direction.eps * direction.zeta0, params, z,
-                          spec).matrix
+            out = quad_LV(direction.eps * direction.zeta0, params, z)
             env = direction.eps * theta(params.mu, z) ** (1 - 3)
             ratios.append(np.max(np.abs(out)) / env)
         C = max(ratios)
         assert C < 5.0            # one uniform constant fits the whole range
         assert min(ratios) > 0.0
+
+    def test_tail_past_truncation_raises(self):
+        # a nearly flat profile (tiny f0) keeps mass far beyond the
+        # truncation radius 1e3 mu: its tail bound is about 9e3
+        p = BubbleParams(n=3, mu=1.0, f_center=1e-6)
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"tail bound 9\.\d+e\+03 exceeds"):
+            quad_LV([1.0, 0.0, 0.0], p, z=(0.0, 0.0, 2.0))

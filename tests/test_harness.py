@@ -221,6 +221,18 @@ class TestSweep:
         with pytest.raises(NewtonDivergedError):
             run_sweep(focusing_cfg)
 
+    def test_unconverged_base_solve_raises_a_solver_error(self, tmp_path):
+        # one outer iteration leaves the base scalar residual near 0.35
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "sweep_focusing.ini")
+        with open(src) as fh:
+            text = fh.read()
+        path = tmp_path / "one_step.ini"
+        path.write_text(text.replace("max_outer = 80", "max_outer = 1"))
+        with pytest.raises(SolverError,
+                           match="base data solve did not converge"):
+            run_sweep(load_config(str(path)))
+
     def test_data_breaking_the_hypotheses_raise_a_typed_error(self,
                                                               tmp_path):
         # tau^2 outweighs 2 V(psi) on most of the torus, so B changes sign,
