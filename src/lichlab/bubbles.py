@@ -236,6 +236,14 @@ def _moment_quadrature(p, z, vec, moment_axis=None):
     rho = 0.5 * dist
     trunc = max(_TRUNC_FACTOR * p.mu, 5.0 * dist)
 
+    # analytic far-field tail bound, checked before any quadrature
+    c_h = 2.0 * n * _kappa(n) * n * (n + 2.0)
+    moment = 0 if moment_axis is None else 1
+    tail = c_h * (trunc - dist) ** (1.0 - n) * _tail_mass(p, trunc, moment)
+    if tail > _TAIL_TOL:
+        raise QuadratureBudgetError(
+            f"tail bound {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e}")
+
     # bulk: bubble-centered radial panels out to the truncation radius
     edges = [0.0, 0.5 * p.mu]
     while edges[-1] < trunc:
@@ -254,14 +262,6 @@ def _moment_quadrature(p, z, vec, moment_axis=None):
         if moment_axis is not None:
             fac = fac * (y[:, moment_axis] - p.center[moment_axis])
         total += stress_contraction(z - y, vec, weights=fac)
-
-    # analytic far-field tail bound
-    c_h = 2.0 * n * _kappa(n) * n * (n + 2.0)
-    moment = 0 if moment_axis is None else 1
-    tail = c_h * (trunc - dist) ** (1.0 - n) * _tail_mass(p, trunc, moment)
-    if tail > _TAIL_TOL:
-        raise QuadratureBudgetError(
-            f"tail bound {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e}")
     return total
 
 

@@ -336,8 +336,8 @@ class SphereRadial:
     def __post_init__(self):
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < 0.5 * np.pi:
+            raise ValueError("eps must lie in (0, pi/2)")
 
     @property
     def grid_shape(self):
@@ -413,6 +413,8 @@ class Chart(_Box):
     def __post_init__(self):
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8 per axis")
+        if not 0.0 < self.extent < np.inf:
+            raise ValueError("extent must be positive and finite")
 
     @cached_property
     def axis_coords(self):

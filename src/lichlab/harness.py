@@ -40,8 +40,10 @@ from .conformal import (
     Potential,
     SystemCoefficients,
     classify,
+    constraint_residuals,
     critical_exponent,
     normalize,
+    reconstruct,
 )
 from .geometry import (
     OneFormField,
@@ -517,6 +519,8 @@ def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
     lambdas = sorted(lambdas, reverse=True)
     if any(lam <= 1.0 for lam in lambdas):
         raise ValueError("all lambda values must exceed 1")
+    if len(set(lambdas)) < len(lambdas):
+        raise ValueError("lambda values must be distinct")
     keys = ("sup_phi", "sup_phi_closed_form", "scalar_residual",
             "vector_residual", "norm_U", "norm_Y", "cancellation")
     rows = []
@@ -530,7 +534,8 @@ def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
 # verification suite
 # ---------------------------------------------------------------------------
 # Each check_* function measures one invariant and returns its CheckRows.
-# It takes only sizes: SUITES runs it small for ``lichlab verify``, and
+# It takes only sizes (or the output it judges) and writes its tolerances
+# once: SUITES runs it small for ``lichlab verify``, and
 # tests/test_acceptance.py runs it at acceptance size.
 
 @dataclass
@@ -746,15 +751,123 @@ def check_instability(rows):
                (max(totals) - min(totals)) / min(totals), 0.05)]
 
 
+def check_asymptotics(factors):
+    """Far-field expansions against the quadrature at |z| = factor * mu.
+
+    Worst relative deviation over the factors of quad_LV from asympt_LV
+    (first order) and of quad_LP from asympt_LP (second order).
+    """
+    from .bubbles import BubbleParams, DirectionData
+    from .bubbles import asympt_LP, asympt_LV, quad_LP, quad_LV
+
+    p = BubbleParams(n=3, mu=0.01, f_center=3.0)
+    d = DirectionData(eps=0.7, beta_k=np.array([0.3, 0.0, 0.0]),
+                      zeta0=np.array([1.0, 0.0, 0.0]),
+                      zeta_k=np.eye(3)[[1, 0, 2]])
+    zhat = np.array([0.3, -0.2, 1.0])
+    zhat /= np.linalg.norm(zhat)
+    first = second = 0.0
+    for fac in factors:
+        z = fac * p.mu * zhat
+        av = asympt_LV(d, p, z)
+        first = max(first, np.linalg.norm(quad_LV(d.eps * d.zeta0, p, z) - av)
+                    / np.linalg.norm(av))
+        ap = asympt_LP(d, p, z, 0)
+        second = max(second, np.linalg.norm(
+            quad_LP(d.beta_k[0] * d.zeta_k[0], p, z, 0) - ap)
+            / np.linalg.norm(ap))
+    return [_check("asymptotics_first_order", "bubbles", first, 0.05),
+            _check("asymptotics_second_order", "bubbles", second, 0.10)]
+
+
+def check_manufactured_solve(resolution):
+    """Coupled solve recovers a manufactured (u, W) in at most 15 outer steps.
+
+    A solve that does not converge counts infinitely many iterations.
+    """
+    from .solver import manufactured_forcing
+
+    g = Torus(3, resolution)
+    x = g.coords()
+    u_star = ScalarField(g, 0.8 + 0.05 * np.cos(x[0])
+                         + 0.03 * np.cos(x[1]) * np.cos(x[2]))
+    w_vals = np.zeros(g.one_form_shape)
+    w_vals[0] = 0.05 * np.cos(x[1])
+    w_vals[2] = 0.05 * np.sin(x[0]) * np.cos(x[1])
+    W_star = OneFormField(g, w_vals)
+    x_vals = np.zeros(g.one_form_shape)
+    x_vals[0] = 0.2 * np.sin(x[0])
+    C = SystemCoefficients(
+        h=ScalarField.constant(g, 0.0), f=ScalarField.constant(g, 0.25),
+        b=ScalarField.constant(g, 0.125), U=SymTensorField.zero(g),
+        X=OneFormField(g, x_vals), Y=OneFormField.zero(g), gamma=1.0)
+    sol = solve_system(manufactured_forcing(u_star, W_star, C),
+                       SolveOptions(damping=1.0, coercivity_check="off"))
+    return [_check("manufactured_iterations", "solver",
+                   sol.iterations if sol.converged else np.inf, 16.0),
+            _check("manufactured_u_error", "solver",
+                   np.max(np.abs(sol.u.values - u_star.values)), 1e-6),
+            _check("manufactured_W_error", "solver",
+                   np.max(np.abs(sol.W.values - W_star.values)), 1e-6)]
+
+
+def check_round_trip(grids):
+    """Solve, reconstruct (g, K), and measure the constraints on each grid.
+
+    Every solve converges, and the Hamiltonian and momentum defects of the
+    reconstructed data fall at least 3x per doubling of the grid.
+    """
+    unconverged = 0
+    defects = []
+    for N in grids:
+        g = Torus(3, N)
+        D = PhysicsData(
+            psi=ScalarField.constant(g, 1.0),
+            pi=scalar_from_recipe(
+                g, "lorentz(amp=0.02, c=1.05, axis=1, offset=1.0)"),
+            tau=scalar_from_recipe(
+                g, "lorentz(amp=0.015, c=1.05, axis=0, offset=1.0)"),
+            sigma=tensor_from_recipe(g, "constant_tensor(xy=0.1)"),
+            potential=Potential.constant(0.0))
+        sol = solve_system(normalize(D), SolveOptions(
+            coercivity_check="weak", tol_residual=1e-11, max_outer=100))
+        unconverged += not sol.converged
+        defects.append(constraint_residuals(reconstruct(sol.u, sol.W, D),
+                                            D.potential))
+    rows = [_check("round_trip_unconverged", "solver", unconverged, 0.5)]
+    for k, name in enumerate(("hamiltonian", "momentum")):
+        slowest = min(a[k] / b[k] for a, b in zip(defects[:-1], defects[1:]))
+        rows.append(_check(f"round_trip_{name}_order", "solver",
+                           3.0 / max(slowest, 1e-300), 1.0))
+    return rows
+
+
+def check_sweep(report):
+    """Judge a run_sweep report: Focusing base, every row converged,
+    verdict Stable-band, and sup u spread under 10% along the schedule."""
+    sups = [r.sup_u for r in report.rows]
+    return [
+        _check("sweep_base_regime", "sweep",
+               report.base_regime != "Focusing", 0.5),
+        _check("sweep_unconverged", "sweep",
+               sum(not r.converged for r in report.rows), 0.5),
+        _check("sweep_verdict", "sweep", report.verdict != "Stable-band", 0.5),
+        _check("sweep_sup_spread", "sweep",
+               (max(sups) - min(sups)) / min(sups), 0.10)]
+
+
 SUITES = {
     "geometry": [lambda: check_energy_identity(16, draws=20, band=2)],
-    "bubbles": [check_bubble_residual, check_constants],
+    "bubbles": [check_bubble_residual, check_constants,
+                lambda: check_asymptotics(factors=(50.0,))],
     "green": [_suite_kernel, lambda: check_killing(points=30),
               lambda: check_representation(finest_level=1)],
     "diagnostics": [lambda: check_pohozaev(grids=(33, 65)),
                     _suite_covariance],
     "instability": [lambda: check_instability(
         run_instability_demo((1.5, 1.25), resolution=2048))],
+    "solver": [lambda: check_manufactured_solve(resolution=16),
+               lambda: check_round_trip(grids=(16, 32))],
 }
 
 

@@ -98,6 +98,10 @@ class SolveOptions:
             raise ValueError("max_outer must be at least 1")
         if self.coercivity_check not in ("strict", "weak", "off"):
             raise ValueError("coercivity_check must be strict, weak or off")
+        if isinstance(self.initial_guess, (int, float)) \
+                and not 0.0 < self.initial_guess < np.inf:
+            raise ValueError("a constant initial_guess must be positive "
+                             "and finite")
 
 
 @dataclass

@@ -215,20 +215,6 @@ class TestConstraintResiduals:
         assert ham < 1e-12
         assert mom < 1e-12
 
-    def test_round_trip_residuals_decrease_under_refinement(self):
-        results = []
-        for N in (12, 24):
-            g = Torus(3, N)
-            D = defocusing_coupled_data(g)
-            C = normalize(D)
-            sol = solve_system(C, SolveOptions(coercivity_check="weak"))
-            assert sol.converged
-            ids = reconstruct(sol.u, sol.W, D)
-            results.append(constraint_residuals(ids, D.potential))
-        (ham0, mom0), (ham1, mom1) = results
-        assert ham1 < ham0 / 3.0
-        assert mom1 < mom0 / 3.0
-
     def test_perturbed_solution_raises_hamiltonian_defect(self, torus):
         D = defocusing_coupled_data(torus)
         C = normalize(D)

@@ -302,6 +302,18 @@ class TestFieldInvariants:
         with pytest.raises(ValueError):
             ScalarField(g, vals)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Chart(3, 9, extent=-1.0), lambda: Chart(3, 9, extent=0.0),
+        lambda: Chart(3, 9, extent=np.inf), lambda: Chart(3, 9, extent=np.nan),
+        lambda: SphereRadial(16, eps=2.0),
+        lambda: SphereRadial(16, eps=0.5 * np.pi),
+        lambda: SphereRadial(16, eps=np.nan)],
+        ids=["extent-neg", "extent-0", "extent-inf", "extent-nan",
+             "eps-2", "eps-half-pi", "eps-nan"])
+    def test_grid_without_positive_spacing_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_chart_div_sym_equals_div_of_full_tensor(self):
         g = Chart(3, 10, extent=1.0)
         T = SymTensorField(g, np.random.default_rng(6).normal(
