@@ -9,7 +9,9 @@ Subcommands:
                 acceptance checks at reduced size
   constants     print the dimension constants for a given n
 
-Exit status is 0 iff every requested check passes.
+Exit status is 0 iff every requested check passes.  Bad input (a
+ValueError or OSError) is one line ``lichlab: error: <message>`` on
+stderr with exit status 2; a SolverError propagates.
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ def main(argv=None):
     p.set_defaults(func=_cmd_constants)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"lichlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,12 +9,16 @@ configs resolution-independent.
 
 Scalar recipes:   constant(value=)
                   cosine(amp=, k=, offset=)       sine(amp=, k=, offset=)
-                  lorentz(amp=, c=, axis=, offset=)   [amp / (c - cos x_axis)]
+                  lorentz(amp=, c=, axis=, offset=)
+                  [offset + amp / (c - cos x_axis)]
 Potential:        constant(value=)                quadratic(c0=, c1=, c2=)
                   [c0 + c1 s + c2 s^2 / 2]
 Tensor (sigma):   zero()                          constant_tensor(xy=, xz=, ...)
 
-A parameter the recipe does not take raises ValueError.
+Each recipe's parameters and defaults are written once, in a table that
+the fields and their norms both read.  An unknown name or parameter, or
+one number where a vector belongs (or the reverse), raises ValueError.
+The [solver] keys are the fields of SolveOptions.
 
 A stability sweep perturbs the base data along a strictly decreasing
 schedule eps_alpha = 2^{-alpha}; each perturbation shape is normalized in
@@ -30,7 +34,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -104,35 +108,37 @@ def parse_recipe(text):
     return name.strip(), params
 
 
-_SCALAR_PARAMS = {"constant": ("value",), "const": ("value",),
-                  "cosine": ("amp", "k", "offset"),
-                  "sine": ("amp", "k", "offset"),
-                  "lorentz": ("amp", "c", "axis", "offset")}
-_POTENTIAL_PARAMS = {"constant": ("value",), "const": ("value",),
-                     "quadratic": ("c0", "c1", "c2")}
+# each recipe's parameters and their defaults; a parameter whose default is
+# a list takes a vector a:b:c, any other one number
+_SCALAR_RECIPES = {"constant": {"value": 0.0},
+                   "cosine": {"amp": 1.0, "k": [1.0], "offset": 0.0},
+                   "sine": {"amp": 1.0, "k": [1.0], "offset": 0.0},
+                   "lorentz": {"amp": 1.0, "c": 1.5, "axis": 0.0,
+                               "offset": 0.0}}
+_POTENTIAL_RECIPES = {"constant": {"value": 0.0},
+                      "quadratic": {"c0": 0.0, "c1": 0.0, "c2": 0.0}}
 
 
-def _parse_known(text, known):
-    """parse_recipe(text); ValueError on a parameter the recipe does not take.
+def _parse_known(text, table, kind):
+    """(name, parameters) of a recipe in table, with its defaults filled in.
 
-    known maps recipe names to their parameter names; an unknown name is
-    left for the caller to reject.
+    ValueError on a name table lacks, a parameter the recipe does not
+    take, and one number where a vector belongs or the reverse.
     """
     name, prm = parse_recipe(text)
-    unknown = sorted(set(prm) - set(known.get(name, prm)))
+    if name not in table:
+        raise ValueError(f"unknown {kind} recipe {name!r}")
+    defaults = table[name]
+    unknown = sorted(set(prm) - set(defaults))
     if unknown:
         raise ValueError(f"recipe {name!r} has no parameter "
                          f"{', '.join(map(repr, unknown))}")
-    return name, prm
-
-
-def _param(prm, key, default):
-    """Recipe parameter key, a number or (if default is a list) a vector."""
-    val = prm.get(key, default)
-    if isinstance(val, list) != isinstance(default, list):
-        kind = "a vector a:b:c" if isinstance(default, list) else "one number"
-        raise ValueError(f"recipe parameter {key!r} takes {kind}")
-    return val
+    for key, val in prm.items():
+        if isinstance(val, list) != isinstance(defaults[key], list):
+            takes = ("a vector a:b:c" if isinstance(defaults[key], list)
+                     else "one number")
+            raise ValueError(f"recipe parameter {key!r} takes {takes}")
+    return name, {**defaults, **prm}
 
 
 def _phase(g, k):
@@ -144,53 +150,45 @@ def _phase(g, k):
     return sum(kj * xj for kj, xj in zip(k, x))
 
 
+def _lorentz(prm, x):
+    """The lorentz recipe's periodic peak offset + amp / (c - cos x)."""
+    if not prm["c"] > 1.0:
+        raise ValueError("lorentz recipe needs c > 1")
+    return prm["offset"] + prm["amp"] / (prm["c"] - np.cos(x))
+
+
 def scalar_from_recipe(g, text):
-    name, prm = _parse_known(text, _SCALAR_PARAMS)
-    shape = g.grid_shape
-    offset, amp = _param(prm, "offset", 0.0), _param(prm, "amp", 1.0)
-    if name in ("constant", "const"):
-        return ScalarField.constant(g, _param(prm, "value", 0.0))
-    if name in ("cosine", "sine"):
-        wave = np.cos if name == "cosine" else np.sin
-        vals = offset + amp * wave(_phase(g, _param(prm, "k", [1.0])))
-        return ScalarField(g, vals + np.zeros(shape))
+    name, prm = _parse_known(text, _SCALAR_RECIPES, "scalar")
+    if name == "constant":
+        return ScalarField.constant(g, prm["value"])
     if name == "lorentz":
-        axis = _param(prm, "axis", 0.0)
-        if axis not in range(g.dimension):
+        if prm["axis"] not in range(g.dimension):
             raise ValueError(f"lorentz axis must lie in 0..{g.dimension - 1}")
-        c = _param(prm, "c", 1.5)
-        if not c > 1.0:
-            raise ValueError("lorentz recipe needs c > 1")
-        x = g.coords()[int(axis)]
-        vals = offset + amp / (c - np.cos(x))
-        return ScalarField(g, vals + np.zeros(shape))
-    raise ValueError(f"unknown scalar recipe {name!r}")
+        vals = _lorentz(prm, g.coords()[int(prm["axis"])])
+    else:
+        wave = np.cos if name == "cosine" else np.sin
+        vals = prm["offset"] + prm["amp"] * wave(_phase(g, prm["k"]))
+    return ScalarField(g, vals + np.zeros(g.grid_shape))
 
 
 def potential_from_recipe(text):
-    name, prm = _parse_known(text, _POTENTIAL_PARAMS)
-    if name in ("constant", "const"):
-        return Potential.constant(_param(prm, "value", 0.0))
-    if name == "quadratic":
-        return Potential.quadratic(*(_param(prm, c, 0.0)
-                                     for c in ("c0", "c1", "c2")))
-    raise ValueError(f"unknown potential recipe {name!r}")
+    name, prm = _parse_known(text, _POTENTIAL_RECIPES, "potential")
+    if name == "constant":
+        return Potential.constant(prm["value"])
+    return Potential.quadratic(**prm)
 
 
 def tensor_from_recipe(g, text):
     n = g.dimension
     pairs = ["xyzw"[i] + "xyzw"[j] for i, j in sym_index(min(n, 4))]
-    name, prm = _parse_known(text, {"zero": (), "none": (),
-                                    "constant_tensor": pairs})
-    if name in ("zero", "none"):
+    table = {"zero": {}, "constant_tensor": dict.fromkeys(pairs, 0.0)}
+    name, prm = _parse_known(text, table, "tensor")
+    if name == "zero":
         return SymTensorField.zero(g)
-    if name == "constant_tensor":
-        if n > 4:
-            raise ValueError("constant_tensor names axes x, y, z, w: "
-                             "dimension at most 4")
-        return SymTensorField.constant(g, [_param(prm, key, 0.0)
-                                           for key in pairs])
-    raise ValueError(f"unknown tensor recipe {name!r}")
+    if n > 4:
+        raise ValueError("constant_tensor names axes x, y, z, w: "
+                         "dimension at most 4")
+    return SymTensorField.constant(g, [prm[key] for key in pairs])
 
 
 def recipe_ck_norm(text, order):
@@ -200,22 +198,12 @@ def recipe_ck_norm(text, order):
     cos(k.x + p) has supremum prod |k_j|^{alpha_j}); single-axis recipes
     reduce to 1-D and are measured spectrally on a fine circle.
     """
-    name, prm = _parse_known(text, _SCALAR_PARAMS)
-    if name in ("constant", "const"):
-        return abs(_param(prm, "value", 0.0))
-    if name in ("cosine", "sine"):
-        amp = abs(_param(prm, "amp", 1.0))
-        off = abs(_param(prm, "offset", 0.0))
-        K = max(abs(c) for c in _param(prm, "k", [1.0]))
-        best = off + amp
-        for t in range(1, order + 1):
-            best = max(best, amp * K ** t)
-        return best
+    name, prm = _parse_known(text, _SCALAR_RECIPES, "scalar")
+    if name == "constant":
+        return abs(prm["value"])
     if name == "lorentz":
         m = 4096
-        x = 2.0 * np.pi * np.arange(m) / m
-        f = _param(prm, "offset", 0.0) + _param(prm, "amp", 1.0) / (
-            _param(prm, "c", 1.5) - np.cos(x))
+        f = _lorentz(prm, 2.0 * np.pi * np.arange(m) / m)
         k = np.fft.fftfreq(m, d=1.0 / m)
         fh = np.fft.fft(f)
         best = float(np.max(np.abs(f)))
@@ -223,7 +211,12 @@ def recipe_ck_norm(text, order):
             fh = 1j * k * fh
             best = max(best, float(np.max(np.abs(np.fft.ifft(fh).real))))
         return best
-    raise ValueError(f"no C^k norm rule for recipe {name!r}")
+    amp = abs(prm["amp"])
+    K = max(abs(c) for c in prm["k"])
+    best = abs(prm["offset"]) + amp
+    for t in range(1, order + 1):
+        best = max(best, amp * K ** t)
+    return best
 
 
 def _potential_c2_norm(pot):
@@ -277,9 +270,9 @@ class SweepConfig:
     config_text: str = ""
 
     def __post_init__(self):
-        if not self.alphas:
+        eps = self.epsilons
+        if not eps:
             raise ValueError("schedule needs at least one alpha")
-        eps = [2.0 ** (-a) for a in self.alphas]
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("schedule must be strictly decreasing")
 
@@ -297,8 +290,7 @@ _SECTIONS = {
     "data": ("psi", "pi", "tau", "sigma", "potential", "h"),
     "schedule": ("alphas", "vanish_threshold")
     + tuple(f"perturb_{key}" for key in PERTURBATION_ORDERS),
-    "solver": tuple(f.name for f in fields(SolveOptions)
-                    if f.name != "initial_guess"),
+    "solver": tuple(f.name for f in fields(SolveOptions)),
     "output": ("csv", "json"),
 }
 
@@ -460,13 +452,12 @@ def run_sweep(cfg: SweepConfig):
             f"{base_sol.momentum_residual:.2e})")
 
     rows = []
-    prev_u = base_sol.u.values
     warm = base_sol.u
     for alpha, eps in zip(cfg.alphas, cfg.epsilons):
         data = _perturbed_data(cfg, eps)
         C = normalize(data, h_override=cfg.h_override)
         try:
-            sol = solve_system(C, replace(cfg.solver, initial_guess=warm))
+            sol = solve_system(C, cfg.solver, guess=warm)
         except SolverError:
             nan = float("nan")
             rows.append(SweepRow(
@@ -485,8 +476,7 @@ def run_sweep(cfg: SweepConfig):
             kernel_defect=sol.kernel_defect,
             converged=sol.converged,
             regime=classify(C.f),
-            diff_prev=_c1_distance(g, sol.u.values, prev_u)))
-        prev_u = sol.u.values
+            diff_prev=_c1_distance(g, sol.u.values, warm.values)))
         warm = sol.u
 
     verdict = _classify_trajectory(cfg, rows)

@@ -9,6 +9,8 @@ with a(W) from ``SystemCoefficients.quadratic``, solved by a damped
 alternation: each pass inverts the momentum equation spectrally for the
 current u, then runs a Newton iteration on the scalar equation for the
 current W that keeps its iterates above a fixed floor of 1e-8.
+``SolveOptions`` is exactly a config's [solver] section; the start field
+is the separate ``guess`` argument.
 
 The Newton linearization keeps both nonlinear terms,
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -34,6 +36,7 @@ from .conformal import critical_exponent
 from .geometry import (
     OneFormField,
     ScalarField,
+    _check_geometry,
     lame,
     lame_invert,
     laplace_beltrami,
@@ -86,7 +89,6 @@ class SolveOptions:
     max_outer: int = 60
     tol_residual: float = 1e-10
     damping: float = 0.7
-    initial_guess: Union[ScalarField, float, None] = None
     coercivity_check: str = "strict"    # "strict" | "weak" | "off"
 
     def __post_init__(self):
@@ -98,10 +100,6 @@ class SolveOptions:
             raise ValueError("max_outer must be at least 1")
         if self.coercivity_check not in ("strict", "weak", "off"):
             raise ValueError("coercivity_check must be strict, weak or off")
-        if isinstance(self.initial_guess, (int, float)) \
-                and not 0.0 < self.initial_guess < np.inf:
-            raise ValueError("a constant initial_guess must be positive "
-                             "and finite")
 
 
 @dataclass
@@ -202,8 +200,9 @@ def solve_momentum(u, C):
     return lame_invert(OneFormField(C.geometry, _momentum_rhs(u, C)))
 
 
-def solve_scalar(W, C, opts: SolveOptions):
-    """Positivity-preserving Newton solve of the scalar equation at fixed W."""
+def solve_scalar(W, C, opts: SolveOptions, guess=None):
+    """Positivity-preserving Newton solve of the scalar equation at fixed W,
+    started from guess (see _initial_field)."""
     g = C.geometry
     n = g.dimension
     p = critical_exponent(n)
@@ -211,7 +210,7 @@ def solve_scalar(W, C, opts: SolveOptions):
     a = C.quadratic(W)
 
     degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
-    u = _initial_field(C, opts, a)
+    u = _initial_field(C, guess, a)
     shape = g.grid_shape
 
     res = _scalar_residual(ScalarField(g, u), a, C)
@@ -291,13 +290,15 @@ def constant_balance_root(h_bar, f_bar, a_bar, n):
     return float(0.5 * (lo + hi))
 
 
-def _initial_field(C, opts, a):
+def _initial_field(C, guess, a):
+    """A copy of guess, which must be on C's geometry (GeometryMismatch)
+    and above the floor (ValueError); by default the constant balance root."""
     g = C.geometry
-    guess = opts.initial_guess
-    if isinstance(guess, ScalarField):
-        return guess.values.copy()
     if guess is not None:
-        return np.full(g.grid_shape, float(guess))
+        _check_geometry(guess, g)
+        if not np.min(guess.values) > _U_FLOOR:
+            raise ValueError(f"guess must stay above {_U_FLOOR:.0e}")
+        return guess.values.copy()
     root = constant_balance_root(float(np.mean(C.h.values)),
                                  float(np.mean(C.f.values)),
                                  float(np.mean(a)),
@@ -305,21 +306,21 @@ def _initial_field(C, opts, a):
     return np.full(g.grid_shape, max(root, 10.0 * _U_FLOOR))
 
 
-def solve_system(C, opts: Optional[SolveOptions] = None):
-    """Damped alternation between the momentum and scalar solves."""
+def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
+    """Damped alternation between the momentum and scalar solves, started
+    from guess (see _initial_field)."""
     opts = opts or SolveOptions()
     g = C.geometry
     check_coercivity(C, opts.coercivity_check)
 
-    u = ScalarField(g, _initial_field(C, opts, C.quadratic()))
+    u = ScalarField(g, _initial_field(C, guess, C.quadratic()))
     W, kdef = solve_momentum(u, C)
 
-    inner_tol = max(0.05 * opts.tol_residual, 1e-12)
+    inner = replace(opts, coercivity_check="off",
+                    tol_residual=max(0.05 * opts.tol_residual, 1e-12))
     scal_res = mom_res = np.inf
     for it in range(1, opts.max_outer + 1):
-        u_new = solve_scalar(W, C, replace(
-            opts, coercivity_check="off", initial_guess=u,
-            tol_residual=inner_tol))
+        u_new = solve_scalar(W, C, inner, guess=u)
         # damping guards the strongly nonlinear u^{2*} feedback early on;
         # near the fixed point full steps restore fast linear convergence
         damp = opts.damping if max(scal_res, mom_res) > 1e-6 else 1.0
@@ -327,13 +328,13 @@ def solve_system(C, opts: Optional[SolveOptions] = None):
         W, kdef = solve_momentum(u, C)
         scal_res = float(np.max(np.abs(scalar_residual_field(u, W, C))))
         mom_res = float(np.max(np.abs(momentum_residual_field(u, W, C))))
-        if scal_res < opts.tol_residual and mom_res < opts.tol_residual:
-            return Solution(u=u, W=W, scalar_residual=scal_res,
-                            momentum_residual=mom_res, kernel_defect=kdef,
-                            iterations=it, converged=True)
+        converged = (scal_res < opts.tol_residual
+                     and mom_res < opts.tol_residual)
+        if converged:
+            break
     return Solution(u=u, W=W, scalar_residual=scal_res,
                     momentum_residual=mom_res, kernel_defect=kdef,
-                    iterations=opts.max_outer, converged=False)
+                    iterations=it, converged=converged)
 
 
 def manufactured_forcing(u_star, W_star, C):

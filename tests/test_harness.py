@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -149,6 +150,15 @@ class TestRecipes:
         with pytest.raises(ValueError):
             scalar_from_recipe(g, "wavelet(a=1)")
 
+    @pytest.mark.parametrize("text", ["constant()", "cosine()", "sine()",
+                                      "lorentz()"])
+    def test_sup_norm_of_the_defaults_is_the_field_sup(self, text):
+        # the fields and their norms read the same defaults; each maximum
+        # falls on a node of the 16^3 grid
+        f = scalar_from_recipe(Torus(3, 16), text)
+        assert harness.recipe_ck_norm(text, 0) == pytest.approx(
+            np.max(np.abs(f.values)), abs=1e-12)
+
 
 class TestSweep:
     def test_focusing_stable_band(self, focusing_cfg):
@@ -184,11 +194,11 @@ class TestSweep:
         solve = harness.solve_system
         guesses, solutions = [], []
 
-        def failing_third_call(C, opts):
-            guesses.append(opts.initial_guess)
+        def failing_third_call(C, opts, guess=None):
+            guesses.append(guess)
             if len(guesses) == 3:
                 raise NewtonDivergedError("forced failure")
-            solutions.append(solve(C, opts))
+            solutions.append(solve(C, opts, guess=guess))
             return solutions[-1]
 
         monkeypatch.setattr(harness, "solve_system", failing_third_call)
@@ -406,6 +416,28 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "stability_coef(6) = 0.2" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["instability3", "--lambdas", "1.5,1.5"],
+        ["instability3", "--lambdas", "1.5,x"],
+        ["sweep", "--config", "missing.ini"],
+    ])
+    def test_cli_input_error_is_one_line(self, argv, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lichlab: error: ") and err.count("\n") == 1
+
+    def test_cli_solver_error_propagates(self, tmp_path, monkeypatch):
+        def failing(cfg):
+            raise NewtonDivergedError("forced failure")
+
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FOCUSING_INI)
+        monkeypatch.setattr("lichlab.cli.run_sweep", failing)
+        with pytest.raises(NewtonDivergedError):
+            cli_main(["sweep", "--config", str(cfg)])
+
     def test_cli_verify_selector(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = cli_main(["verify", "--select", "bubbles",
@@ -470,6 +502,8 @@ class TestMalformedInput:
         "[geometry]\n[data]\npsi = cosine(k=1:0:0:1)\n",
         "[geometry]\n[data]\npsi = cosine(k=2)\n",
         "[geometry]\n[data]\npsi = cosine(amplitude=5)\n",
+        "[geometry]\n[data]\npsi = const(value=1)\n",
+        "[geometry]\n[data]\nsigma = none()\n",
         "[geometry]\n[data]\n[schedule]\nperturb_tau = wavelet(a=1)\n",
         "[geometry]\n[data]\n[schedule]\nperturb_psi = constant(value=0)\n",
         "[geometry]\n[data]\n[schedule]\nalphas =\n",
@@ -510,3 +544,33 @@ class TestMalformedInput:
             load_config(str(path))
         except ValueError:
             pass
+
+
+class TestReadmeConfig:
+    def test_readme_block_is_the_focusing_config(self, tmp_path):
+        # output paths and the config text may differ
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            block, = re.findall(r"```ini\n(.*?)```", fh.read(), re.DOTALL)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        doc = load_config(str(path))
+        ref = load_config(os.path.join(root, "configs", "sweep_focusing.ini"))
+
+        assert doc.geometry == ref.geometry
+        assert doc.solver == ref.solver
+        assert doc.alphas == ref.alphas
+        assert doc.vanish_threshold == ref.vanish_threshold
+        assert np.array_equal(doc.h_override.values, ref.h_override.values)
+        for name in ("psi", "pi", "tau", "sigma"):
+            assert np.array_equal(getattr(doc.base, name).values,
+                                  getattr(ref.base, name).values), name
+        assert doc.base.potential == ref.base.potential
+        assert doc.perturb.keys() == ref.perturb.keys()
+        for key, (shape, norm) in ref.perturb.items():
+            doc_shape, doc_norm = doc.perturb[key]
+            assert doc_norm == norm, key
+            if key == "potential":
+                assert doc_shape == shape
+            else:
+                assert np.array_equal(doc_shape.values, shape.values), key

@@ -11,6 +11,7 @@ import lichlab.solver as solver
 
 from lichlab.conformal import SystemCoefficients, critical_exponent
 from lichlab.geometry import (
+    GeometryMismatch,
     OneFormField,
     ScalarField,
     SymTensorField,
@@ -184,7 +185,8 @@ class TestScalar:
         monkeypatch.setattr(solver.spla, "minres", failing)
         with pytest.raises(NewtonDivergedError):
             solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
-                         SolveOptions(initial_guess=2.0))
+                         SolveOptions(),
+                         guess=ScalarField.constant(torus16, 2.0))
 
     def test_non_descent_step_rejected(self, torus16, monkeypatch):
         # one ascent direction, then honest Newton steps: no step length
@@ -200,7 +202,8 @@ class TestScalar:
         monkeypatch.setattr(solver.spla, "minres", ascent_once)
         with pytest.raises(NewtonDivergedError):
             solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
-                         SolveOptions(initial_guess=2.0))
+                         SolveOptions(),
+                         guess=ScalarField.constant(torus16, 2.0))
         assert len(calls) == 1
 
     def test_transforms_see_only_float_vectors(self, monkeypatch):
@@ -215,14 +218,32 @@ class TestScalar:
 
         monkeypatch.setattr(scipy.fft, "rfftn", recording)
         g = Torus(3, 8)
-        solve_scalar(OneFormField.zero(g), make_coeffs(g),
-                     SolveOptions(initial_guess=2.0))
+        solve_scalar(OneFormField.zero(g), make_coeffs(g), SolveOptions(),
+                     guess=ScalarField.constant(g, 2.0))
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
-    @pytest.mark.parametrize("guess", [0.0, -1.0, np.nan, np.inf])
-    def test_constant_guess_must_be_positive_and_finite(self, guess):
-        with pytest.raises(ValueError, match="initial_guess"):
-            SolveOptions(initial_guess=guess)
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1e-9])
+    def test_guess_must_stay_above_the_floor(self, value, monkeypatch):
+        # fields are finite by construction, so the floor is the one check
+        calls = []
+        monkeypatch.setattr(solver.spla, "minres",
+                            lambda *args, **kwargs: calls.append(1))
+        g = Torus(3, 8)
+        vals = np.ones(g.grid_shape)
+        vals[1, 2, 3] = value
+        guess = ScalarField(g, vals)
+        for solve in (lambda C: solve_scalar(OneFormField.zero(g), C,
+                                             SolveOptions(), guess=guess),
+                      lambda C: solve_system(C, guess=guess)):
+            with pytest.raises(ValueError, match="guess"):
+                solve(make_coeffs(g))
+        assert not calls
+
+    def test_guess_on_another_geometry_rejected(self):
+        g = Torus(3, 8)
+        with pytest.raises(GeometryMismatch):
+            solve_system(make_coeffs(g),
+                         guess=ScalarField.constant(Torus(3, 12), 1.0))
 
     def test_noncoercive_rejected(self, torus16):
         C = make_coeffs(torus16, h=-1.0)
@@ -236,7 +257,8 @@ class TestScalar:
         C = make_coeffs(g, h=0.0, f=1.0, b=1.0)
         C = manufactured_forcing(u_star, OneFormField.zero(g), C)
         u = solve_scalar(OneFormField.zero(g), C,
-                         SolveOptions(initial_guess=2.0, coercivity_check="off"))
+                         SolveOptions(coercivity_check="off"),
+                         guess=ScalarField.constant(g, 2.0))
         assert np.max(np.abs(u.values - u_star.values)) < 1e-8
 
     def test_constant_balance_against_root_finder(self, torus16):
@@ -249,6 +271,49 @@ class TestScalar:
                       0.1, 1.2, xtol=1e-14)
         assert np.max(np.abs(u.values - root)) < 1e-9
         assert abs(constant_balance_root(h, f, b, 3) - root) < 1e-6
+
+
+class TestContract:
+    """Every solve raises a SolverError, reports converged=False after
+    max_outer passes, or returns a positive solution whose residuals are
+    below the tolerance."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.tuples(st.floats(-0.5, 2.0), st.floats(-1.0, 1.0)),
+           f=st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 0.5)),
+           b=st.floats(0.0, 0.5), data=st.data())
+    def test_typed_failure_or_certified_solution(self, n, h, f, b, data):
+        # h = h0 + h1 cos x, f = f0 + f1 cos y, and X, Y single sine modes
+        g = Torus(n, 8)
+        x = g.coords()
+        zero = np.zeros(g.grid_shape)
+        forms = []
+        for _ in range(2):
+            comp, axis = data.draw(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)))
+            vals = np.zeros(g.one_form_shape)
+            vals[comp] = data.draw(st.floats(-1.0, 1.0)) * np.sin(x[axis])
+            forms.append(OneFormField(g, vals))
+        C = make_coeffs(g, h=h[0] + h[1] * np.cos(x[0]) + zero,
+                        f=f[0] + f[1] * np.cos(x[1]) + zero, b=b,
+                        X=forms[0], Y=forms[1])
+        opts = SolveOptions(max_outer=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sol = solve_system(C, opts)
+            except solver.SolverError:
+                return
+        if not sol.converged:
+            assert sol.iterations == opts.max_outer
+            return
+        assert np.min(sol.u.values) > 0.0
+        for reported, fresh in (
+                (sol.scalar_residual, scalar_residual_field(sol.u, sol.W, C)),
+                (sol.momentum_residual,
+                 momentum_residual_field(sol.u, sol.W, C))):
+            assert reported == np.max(np.abs(fresh)) < opts.tol_residual
 
 
 class TestSystem:
@@ -337,7 +402,8 @@ class TestSystem:
             C = make_coeffs(g, h=0.0, f=0.25, b=0.125)
             C = manufactured_forcing(u_star, OneFormField.zero(g), C)
             u = solve_scalar(OneFormField.zero(g), C,
-                             SolveOptions(initial_guess=1.5, coercivity_check="off"))
+                             SolveOptions(coercivity_check="off"),
+                             guess=ScalarField.constant(g, 1.5))
             errs.append(np.max(np.abs(u.values - u_star.values)))
         # the discrete manufactured problem is exact at both resolutions,
         # so both errors sit at the solver tolerance floor
