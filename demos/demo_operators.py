@@ -23,7 +23,7 @@ from lichlab.geometry import (
 
 g = Torus(3, 32)
 x = g.coords()
-print(f"flat 3-torus, {g.resolution}^3 nodes, period {g.period:.4f}")
+print(f"flat 3-torus, {g.resolution}^3 nodes, period {2 * np.pi:.4f}")
 
 # the Laplacian is spectrally exact on Fourier modes
 f = ScalarField(g, np.cos(2 * x[0] + x[1]) + np.zeros(g.grid_shape))

@@ -77,8 +77,7 @@ def _cmd_sweep(args):
         write_json_summary(json_path, report.verdict, report.config_hash,
                            extra={"base_regime": report.base_regime,
                                   "note": report.note})
-    ok = report.all_converged and report.verdict != "NonConvergent"
-    return 0 if ok else 1
+    return 0 if report.verdict != "NonConvergent" else 1
 
 
 def _print_checks(rows):

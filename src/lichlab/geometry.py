@@ -118,7 +118,7 @@ def fornberg_weights(x0, x, m):
     return c
 
 
-def _fd_matrix(x, deriv, stencil=7):
+def _fd_matrix(x, deriv):
     """Sparse 1-D differentiation matrix of the given derivative order.
 
     Interior rows use centered stencils, edge rows one-sided ones; a 7-point
@@ -126,7 +126,7 @@ def _fd_matrix(x, deriv, stencil=7):
     derivatives everywhere.
     """
     npts = len(x)
-    stencil = min(stencil, npts)
+    stencil = min(7, npts)
     half = stencil // 2
     rows, cols, vals = [], [], []
     for i in range(npts):
@@ -207,29 +207,31 @@ class _Box:
                          for row in _sym_rows(self.dimension)])
 
 
+# the torus side; a torus of another size gives the same solutions with
+# rescaled coefficients
+_PERIOD = 2.0 * np.pi
+
+
 @dataclass(frozen=True)
 class Torus(_Box):
-    """Flat n-torus with uniform grid, periodic in every axis."""
+    """Flat n-torus [0, 2 pi)^n with uniform grid, periodic in every axis."""
 
     dimension: int
     resolution: int
-    period: float = 2.0 * np.pi
 
     def __post_init__(self):
         if self.dimension < 3:
             raise ValueError("dimension must be >= 3")
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8 per axis")
-        if not 0.0 < self.period < np.inf:
-            raise ValueError("period must be positive and finite")
 
     @property
     def spacing(self):
-        return self.period / self.resolution
+        return _PERIOD / self.resolution
 
     @property
     def volume(self):
-        return self.period ** self.dimension
+        return _PERIOD ** self.dimension
 
     @cached_property
     def axis_coords(self):
@@ -537,12 +539,6 @@ class SymTensorField:
     def zero(cls, geometry):
         n = geometry.dimension
         return cls.constant(geometry, np.zeros(n * (n + 1) // 2))
-
-    @classmethod
-    def from_full(cls, geometry, full):
-        n = geometry.dimension
-        comps = [0.5 * (full[i, j] + full[j, i]) for i, j in sym_index(n)]
-        return cls(geometry, np.stack(comps))
 
     def full(self):
         """Expand packed components to shape (n, n, *grid)."""

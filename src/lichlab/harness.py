@@ -34,7 +34,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -286,7 +286,7 @@ class SweepConfig:
 
 # the keys each config section takes; any other section or key is an error
 _SECTIONS = {
-    "geometry": ("kind", "dimension", "resolution", "period"),
+    "geometry": ("kind", "dimension", "resolution"),
     "data": ("psi", "pi", "tau", "sigma", "potential", "h"),
     "schedule": ("alphas", "vanish_threshold")
     + tuple(f"perturb_{key}" for key in PERTURBATION_ORDERS),
@@ -332,8 +332,7 @@ def load_config(path):
     if geo.get("kind", "torus").lower() != "torus":
         raise ValueError("sweeps support torus geometries")
     g = Torus(dimension=geo.getint("dimension", 3),
-              resolution=geo.getint("resolution", 16),
-              **_given_fields(cp, "geometry", Torus, ("period",)))
+              resolution=geo.getint("resolution", 16))
 
     data = cp["data"]
     base = PhysicsData(
@@ -352,7 +351,7 @@ def load_config(path):
     perturb = {}
     for key in PERTURBATION_ORDERS:
         recipe = cp.get("schedule", f"perturb_{key}", fallback="")
-        if recipe and recipe.lower() != "none":
+        if recipe:
             perturb[key] = _perturbation(g, key, recipe)
     output = dict(cp["output"]) if cp.has_section("output") else {}
 
@@ -397,32 +396,20 @@ class SweepReport:
     config_hash: str
     note: str = BAND_CHECK_NOTE
 
-    @property
-    def all_converged(self):
-        return all(r.converged for r in self.rows)
-
 
 def _perturbed_data(cfg, eps):
-    g = cfg.geometry
-    base = cfg.base
-    fields = {"psi": base.psi.values.copy(), "pi": base.pi.values.copy(),
-              "tau": base.tau.values.copy()}
-    sigma = base.sigma.values.copy()
-    pot = base.potential
+    """The base data with each perturbed field moved by eps / norm * shape."""
+    moved = {}
     for key, (shape, norm) in cfg.perturb.items():
         scale = eps / norm
+        old = getattr(cfg.base, key)
         if key == "potential":
-            pot = Potential(*(b + scale * q for b, q in
-                              zip(astuple(pot), astuple(shape))))
-        elif key == "sigma":
-            sigma = sigma + scale * shape.values
+            moved[key] = Potential(*(b + scale * q for b, q in
+                                     zip(astuple(old), astuple(shape))))
         else:
-            fields[key] = fields[key] + scale * shape.values
-    return PhysicsData(psi=ScalarField(g, fields["psi"]),
-                       pi=ScalarField(g, fields["pi"]),
-                       tau=ScalarField(g, fields["tau"]),
-                       sigma=SymTensorField(g, sigma),
-                       potential=pot)
+            moved[key] = type(old)(old.geometry,
+                                   old.values + scale * shape.values)
+    return replace(cfg.base, **moved)
 
 
 def _c1_distance(g, u1, u0):

@@ -316,8 +316,7 @@ def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
     u = ScalarField(g, _initial_field(C, guess, C.quadratic()))
     W, kdef = solve_momentum(u, C)
 
-    inner = replace(opts, coercivity_check="off",
-                    tol_residual=max(0.05 * opts.tol_residual, 1e-12))
+    inner = replace(opts, coercivity_check="off")
     scal_res = mom_res = np.inf
     for it in range(1, opts.max_outer + 1):
         u_new = solve_scalar(W, C, inner, guess=u)

@@ -46,8 +46,8 @@ class TestBubbleValues:
 
 
 class TestConstants:
-    def test_stability_coef_values(self):
-        assert blowup_constants(6).stability_coef == pytest.approx(0.2)
+    def test_stability_coef_vanishes_at_n4(self):
+        # C(6) = 0.2 is the verify row constants_c6
         assert blowup_constants(4).stability_coef == 0.0
 
     def test_bubble_energy_is_profile_mass(self):

@@ -100,16 +100,13 @@ class TestPohozaev:
         assert rep.interior == pytest.approx(0.0, abs=1e-13)
         assert rep.boundary == pytest.approx(0.0, abs=1e-13)
 
-    def test_exact_bubble_defect_refines(self):
+    def test_exact_bubble_defect_is_small_on_the_coarse_grid(self):
+        # the refinement order is the verify row pohozaev_order
         p = BubbleParams(n=3, mu=1.0, f_center=3.0)
-        defects = []
-        for N in (33, 65):
-            g = Chart(3, N, extent=1.3)
-            v = ScalarField(g, bubble(p, chart_points(g)))
-            rep = pohozaev_defect(v, chart_coeffs(g, f=3.0), np.zeros(3), 1.0)
-            defects.append(rep.defect)
-        assert defects[0] < 1e-4
-        assert defects[0] / defects[1] > 16.0     # at least 4th order
+        g = Chart(3, 33, extent=1.3)
+        v = ScalarField(g, bubble(p, chart_points(g)))
+        rep = pohozaev_defect(v, chart_coeffs(g, f=3.0), np.zeros(3), 1.0)
+        assert rep.defect < 1e-4
 
     def test_constant_coefficients_are_not_interpolated(self, monkeypatch):
         # h, f and a are constant: only v and its three derivatives go
@@ -176,26 +173,6 @@ class TestCovariance:
         res = conformal_covariance_residuals(
             v, OneFormField(g, Xv), ScalarField.constant(g, 1.0))
         assert res[1] == 0.0 and res[2] == 0.0
-
-    def test_curved_factor_refines_at_order(self):
-        # phi = 1 + 0.1 |x|^2 satisfies phi(0) = 1, grad phi(0) = 0
-        out = []
-        for N in (33, 65):
-            g = Chart(3, N, extent=1.0)
-            x = g.coords()
-            phi = ScalarField(g, 1.0 + 0.1 * (x[0] ** 2 + x[1] ** 2
-                                              + x[2] ** 2)
-                              + np.zeros(g.grid_shape))
-            v = ScalarField(g, np.sin(2 * x[0]) * np.cos(x[1])
-                            + 0.3 * np.cos(x[2]) + np.zeros(g.grid_shape))
-            Xv = np.zeros((3,) + g.grid_shape)
-            Xv[0] = np.cos(x[1]) + 0 * x[0] + 0 * x[2]
-            Xv[1] = 0.5 * np.sin(x[0]) * np.cos(x[2])
-            Xv[2] = 0.2 * x[0] * x[1] + 0 * x[2]
-            out.append(conformal_covariance_residuals(
-                v, OneFormField(g, Xv), phi))
-        for r_coarse, r_fine in zip(*out):
-            assert r_coarse / r_fine > 8.0       # 4th order at halving
 
     def test_nonpositive_factor_rejected(self):
         g = Chart(3, 33, extent=1.0)

@@ -325,6 +325,21 @@ class TestSystem:
         assert np.max(np.abs(sol.W.values)) < 1e-14
         assert np.max(np.abs(sol.u.values - u_direct.values)) < 1e-12
 
+    def test_inner_solve_stops_at_the_callers_tolerance(self, torus16,
+                                                         monkeypatch):
+        tols = []
+        inner = solver.solve_scalar
+
+        def recording(W, C, opts, guess=None):
+            tols.append(opts.tol_residual)
+            return inner(W, C, opts, guess=guess)
+
+        monkeypatch.setattr(solver, "solve_scalar", recording)
+        sol = solve_system(make_coeffs(torus16),
+                           SolveOptions(tol_residual=1e-10))
+        assert sol.converged
+        assert tols and set(tols) == {1e-10}
+
     def test_manufactured_fixed_point_immediate(self, torus16):
         g = torus16
         x = g.coords()
