@@ -271,8 +271,9 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = self.epsilons
-        if not eps:
-            raise ValueError("schedule needs at least one alpha")
+        if len(eps) < 3:
+            # the verdict compares the last three rows' diff_prev
+            raise ValueError("schedule needs at least three alphas")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("schedule must be strictly decreasing")
 

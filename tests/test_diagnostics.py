@@ -110,8 +110,8 @@ class TestPohozaev:
 
     def test_constant_coefficients_are_not_interpolated(self, monkeypatch):
         # h, f and a are constant: only v and its three derivatives go
-        # through map_coordinates, once at the interior nodes and once on
-        # the boundary sphere
+        # through map_coordinates, once each, over the interior nodes and
+        # the boundary sphere together
         calls = []
         real = diagnostics.map_coordinates
 
@@ -125,8 +125,27 @@ class TestPohozaev:
         v = ScalarField(g, bubble(p, chart_points(g)))
         rep = pohozaev_defect(v, chart_coeffs(g, h=0.3, f=3.0, b=0.1),
                               np.zeros(3), 1.0)
-        assert len(calls) == 8
+        assert len(calls) == 4
         assert rep.K1 != 0.0 and rep.K3 != 0.0
+
+    def test_rule_matches_the_reference_rule(self, monkeypatch):
+        # the ball rule is sized by its own quadrature error: each side of
+        # the balance agrees with the finer reference rule to 1e-3 of the
+        # defect that the grid leaves
+        p = BubbleParams(n=3, mu=1.0, f_center=3.0)
+        reference = {"_RADIAL_ORDER": 24, "_PANELS": 6,
+                     "_POLAR_ORDER": 32, "_AZIMUTH_ORDER": 64}
+        for N in (33, 65, 129):
+            g = Chart(3, N, extent=1.3)
+            v = ScalarField(g, bubble(p, chart_points(g)))
+            C = chart_coeffs(g, f=3.0)
+            rep = pohozaev_defect(v, C, np.zeros(3), 1.0)
+            with monkeypatch.context() as m:
+                for name, value in reference.items():
+                    m.setattr(diagnostics, name, value)
+                ref = pohozaev_defect(v, C, np.zeros(3), 1.0)
+            assert abs(rep.interior - ref.interior) < 1e-3 * ref.defect
+            assert abs(rep.boundary - ref.boundary) < 1e-3 * ref.defect
 
     def test_term_breakdown_sums(self):
         p = BubbleParams(n=3, mu=1.0, f_center=3.0)

@@ -221,7 +221,7 @@ class TestSweep:
 
     def test_schedule_must_decrease(self, focusing_cfg):
         with pytest.raises(ValueError):
-            SweepConfig(**{**focusing_cfg.__dict__, "alphas": (3, 2)})
+            SweepConfig(**{**focusing_cfg.__dict__, "alphas": (3, 2, 1)})
 
     def test_perturbation_amplitude_tracks_derivative_order(self, focusing_cfg):
         # a tau shape with wavevector 2 has C^3 norm 8, so the applied
@@ -396,10 +396,13 @@ class TestOutputs:
         ["instability3", "--lambdas", "1.5,1.5"],
         ["instability3", "--lambdas", "1.5,x"],
         ["sweep", "--config", "missing.ini"],
+        ["sweep", "--config", "short.ini"],
     ])
     def test_cli_input_error_is_one_line(self, argv, tmp_path, monkeypatch,
                                          capsys):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "short.ini").write_text(
+            "[geometry]\nresolution = 8\n[data]\n[schedule]\nalphas = 1 2\n")
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("lichlab: error: ") and err.count("\n") == 1
@@ -415,7 +418,7 @@ class TestOutputs:
 
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(focusing_ini({"geometry": {"resolution": "12"},
-                                     "schedule": {"alphas": "1 2"},
+                                     "schedule": {"alphas": "1 2 3"},
                                      "output": None}))
         monkeypatch.setattr(harness, "solve_system", failing_rows)
         out = tmp_path / "run"
@@ -502,6 +505,7 @@ class TestMalformedInput:
         "[geometry]\n[data]\n[schedule]\nperturb_tau = wavelet(a=1)\n",
         "[geometry]\n[data]\n[schedule]\nperturb_psi = constant(value=0)\n",
         "[geometry]\n[data]\n[schedule]\nalphas =\n",
+        "[geometry]\n[data]\n[schedule]\nalphas = 1 2\n",
         "[geometry]\n[data]\n[schedule]\nperturb_tau = none\n",
         "[geometry]\n[data]\npsi = lorentz(axis=3)\n",
         "[geometry]\nperiod = 0\n[data]\n",
@@ -537,6 +541,8 @@ class TestMalformedInput:
                         "[schedule]\nperturb_tau =\n")
         assert load_config(str(path)).perturb == {}
 
+    # a sigma with a trace loads, with PhysicsData's warning
+    @pytest.mark.filterwarnings("ignore:sigma has g-trace defect:UserWarning")
     @settings(max_examples=500, deadline=None)
     @given(_ini_text())
     def test_ini_text_loads_or_raises_value_error(self, tmp_path_factory,

@@ -1,34 +1,43 @@
-"""Transient memory budgets of the torus operators that run on large grids.
+"""Transient memory budgets of the operators that run on large grids.
 
-Budgets count real 32^3 fields (8 * 32^3 bytes) of peak traced memory
-(numpy's allocations are traced) during one warm call: cached symbols are
-built by a first call and not counted.
+Budgets count real fields of the test's grid (8 * N^3 bytes for an N^3
+grid) of peak traced memory (numpy's allocations are traced) during one
+warm call: cached symbols and rules are built by a first call and not
+counted.
 """
 
 import tracemalloc
 
 import numpy as np
 
+from lichlab.bubbles import BubbleParams, bubble
 from lichlab.conformal import (
     PhysicsData,
     Potential,
+    SystemCoefficients,
     constraint_residuals,
     reconstruct,
 )
-from lichlab.geometry import OneFormField, ScalarField, Torus
+from lichlab.diagnostics import pohozaev_defect
+from lichlab.geometry import (
+    Chart,
+    OneFormField,
+    ScalarField,
+    SymTensorField,
+    Torus,
+)
 from lichlab.harness import tensor_from_recipe
 
 N = 32
-FIELD = 8 * N ** 3
 
 
-def warm_peak_fields(fn):
-    """Peak traced memory of the second call of fn, in fields."""
+def warm_peak_fields(fn, n=N):
+    """Peak traced memory of the second call of fn, in n^3 fields."""
     fn()
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1] / FIELD
+        return tracemalloc.get_traced_memory()[1] / (8 * n ** 3)
     finally:
         tracemalloc.stop()
 
@@ -62,3 +71,20 @@ def test_constraint_residuals_keep_K_packed():
     ids = reconstruct(u, W, data)
     assert warm_peak_fields(
         lambda: constraint_residuals(ids, data.potential)) < 32.0
+
+
+def test_pohozaev_defect_splines_one_field_at_a_time():
+    # the chart gradient as g.grad builds it (three partials and their
+    # stack, 6 fields) and the quadrature nodes, weights and joined point
+    # list (about 2 fields at 65^3) fit in 10; a spline of every field
+    # held for two passes over the points (16.9 fields) does not
+    g = Chart(3, 65, extent=1.3)
+    pts = np.stack(np.meshgrid(*([g.axis_coords] * 3), indexing="ij"),
+                   axis=-1)
+    v = ScalarField(g, bubble(BubbleParams(n=3, mu=1.0, f_center=3.0), pts))
+    C = SystemCoefficients(
+        h=ScalarField.constant(g, 0.0), f=ScalarField.constant(g, 3.0),
+        b=ScalarField.constant(g, 0.0), U=SymTensorField.zero(g),
+        X=OneFormField.zero(g), Y=OneFormField.zero(g), gamma=1.0)
+    assert warm_peak_fields(
+        lambda: pohozaev_defect(v, C, np.zeros(3), 1.0), n=65) < 10.0
