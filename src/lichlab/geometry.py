@@ -439,8 +439,10 @@ class Chart(_Box):
         return _fd_apply(mat, values, values.ndim - self.dimension + a)
 
     def grad(self, values):
-        return np.stack([self._along(self.d1, values, a)
-                         for a in range(self.dimension)])
+        out = np.empty((self.dimension,) + values.shape)
+        for a in range(self.dimension):
+            out[a] = self._along(self.d1, values, a)
+        return out
 
     def div(self, values):
         return sum(self._along(self.d1, values[a], a)

@@ -7,8 +7,8 @@ The system is
 
 with a(W) from ``SystemCoefficients.quadratic``, solved by a damped
 alternation: each pass inverts the momentum equation spectrally for the
-current u, then runs a Newton iteration on the scalar equation for the
-current W that keeps its iterates above a fixed floor of 1e-8.
+current u, computes a(W) once, then runs a Newton iteration on the scalar
+equation for that a(W) that keeps its iterates above a fixed floor of 1e-8.
 ``SolveOptions`` is exactly a config's [solver] section; the start field
 is the separate ``guess`` argument.
 
@@ -17,10 +17,15 @@ The Newton linearization keeps both nonlinear terms,
     J(du) = lap du + [h - (2*-1) f u^{2*-2} + (2*+1) a u^{-2*-2}] du ;
 
 the negative-power term enters with a positive sign, which is stabilizing.
-Linear solves use MINRES with a constant-coefficient spectral
-preconditioner, so the whole pipeline stays deterministic.  The coercivity
-check computes the smallest eigenvalue of lap + h by LOBPCG, with the same
-operator and preconditioner builder at its own shift.
+Each Newton system is solved by MINRES in orthonormal real Fourier
+coordinates (``_fourier_map``), an isometry of the nodal fields, so MINRES
+takes the same iterates as on nodal vectors.  There the constant-coefficient
+preconditioner (|k|^2 + shift)^-1 is an elementwise product and lap is the
+multiplier |k|^2, so an iteration costs one forward and one inverse
+transform, for the diagonal term.  The whole pipeline stays deterministic.
+The coercivity check computes the smallest eigenvalue of lap + h by LOBPCG
+on nodal vectors (``_shifted_laplacian``), where the operator has no
+directions besides the fields'.
 """
 
 from __future__ import annotations
@@ -158,12 +163,67 @@ def _shifted_laplacian(g, diag, shift):
             spla.LinearOperator((size, size), matvec=precond, dtype=float))
 
 
+def _fourier_map(g):
+    """(to_z, from_z) between nodal fields and orthonormal Fourier coordinates.
+
+    ``to_z(x)`` is ``sqrt(w / N^n) rfft(x)`` flattened into (re, im) pairs,
+    with w = 1 on the last-axis k = 0 plane and, for even N, on its Nyquist
+    plane, where a half-spectrum mode stands for itself alone, and w = 2
+    elsewhere, where it also stands for its conjugate; so |to_z(x)| = |x|.
+    ``from_z`` is its adjoint: it inverts ``to_z`` on its range and drops
+    the anti-Hermitian parts of the k = 0 and Nyquist planes, which no real
+    field has.
+    """
+    half = g.k2.shape
+    w = np.full(half, 2.0)
+    w[..., 0] = 1.0
+    if g.resolution % 2 == 0:
+        w[..., -1] = 1.0
+    scale = np.sqrt(w / g.resolution ** g.dimension)
+
+    def to_z(x):
+        return (scale * g.rfft(x)).reshape(-1).view(float)
+
+    def from_z(z):
+        return g.irfft(z.reshape(-1).view(complex).reshape(half) / scale)
+
+    return to_z, from_z
+
+
+def _fourier_newton_system(g, diag, shift, to_z, from_z):
+    """lap + diag and its preconditioner (|k|^2 + shift)^-1 in the
+    coordinates of ``_fourier_map``: |k|^2 z + to_z(diag from_z(z)), two
+    transforms per product, and an elementwise preconditioner.
+
+    The k = 0 and Nyquist planes carry anti-Hermitian directions that are
+    no field's, on which the operator acts as |k|^2.  MINRES never reaches
+    them: its right-hand side has no component there, and from_z drops any.
+    """
+    k2 = g.k2.reshape(-1)
+    inv_symbol = 1.0 / (k2 + shift)
+    size = 2 * k2.size
+
+    def matvec(z):
+        return ((k2 * z.reshape(-1).view(complex)).view(float)
+                + to_z(diag * from_z(z)))
+
+    def precond(z):
+        return (inv_symbol * z.reshape(-1).view(complex)).view(float)
+
+    return (spla.LinearOperator((size, size), matvec=matvec, dtype=float),
+            spla.LinearOperator((size, size), matvec=precond, dtype=float))
+
+
 def check_coercivity(C, mode="strict"):
     """Smallest eigenvalue of lap + h by LOBPCG (0.0 when mode is "off").
 
     Raises NonCoerciveError when it is not above the mode's limit or when
     LOBPCG does not converge.  The start vector mixes the constant mode
-    with a fixed low mode, so the run is deterministic.
+    with a fixed low mode, so the run is deterministic.  LOBPCG runs on
+    nodal vectors: in the Newton solver's Fourier coordinates the k = 0 and
+    Nyquist planes carry extra directions on which the operator is |k|^2,
+    and LOBPCG would report such a |k|^2 >= 1 as the smallest eigenvalue
+    whenever the true one is larger.
     """
     if mode == "off":
         return 0.0
@@ -200,18 +260,17 @@ def solve_momentum(u, C):
     return lame_invert(OneFormField(C.geometry, _momentum_rhs(u, C)))
 
 
-def solve_scalar(W, C, opts: SolveOptions, guess=None):
-    """Positivity-preserving Newton solve of the scalar equation at fixed W,
-    started from guess (see _initial_field)."""
+def solve_scalar(a, C, opts: SolveOptions, guess=None):
+    """Positivity-preserving Newton solve of the scalar equation for the
+    array a = C.quadratic(W), started from guess (see _initial_field)."""
     g = C.geometry
     n = g.dimension
     p = critical_exponent(n)
     check_coercivity(C, opts.coercivity_check)
-    a = C.quadratic(W)
 
     degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
     u = _initial_field(C, guess, a)
-    shape = g.grid_shape
+    to_z, from_z = _fourier_map(g)
 
     res = _scalar_residual(ScalarField(g, u), a, C)
     for it in range(_MAX_NEWTON):
@@ -220,14 +279,14 @@ def solve_scalar(W, C, opts: SolveOptions, guess=None):
             return ScalarField(g, u)
         diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
                 + (p + 1.0) * a * u ** (-p - 2.0))
-        op, M = _shifted_laplacian(g, diag, max(float(np.mean(diag)), 1e-8))
-        delta, info = spla.minres(op, -res.ravel(), M=M,
-                                  rtol=1e-12, maxiter=400)
+        op, M = _fourier_newton_system(
+            g, diag, max(float(np.mean(diag)), 1e-8), to_z, from_z)
+        z, info = spla.minres(op, -to_z(res), M=M, rtol=1e-12, maxiter=400)
         if info != 0:
             raise NewtonDivergedError(
                 f"MINRES failed on the Newton system (info {info}) at "
                 f"residual {res_norm:.3e}")
-        delta = delta.reshape(shape)
+        delta = from_z(z)
 
         t = 1.0
         for _ in range(60):
@@ -267,8 +326,11 @@ def constant_balance_root(h_bar, f_bar, a_bar, n):
     """Smallest positive root of h t = f t^{2*-1} + a t^{-2*-1}.
 
     Used for the default initial guess.  Scans sign changes of the balance
-    on a log grid and refines with bisection; returns the argmax of the
-    balance when no root exists (closest approach).
+    on a log grid and refines with bisection.  Near the fold both roots can
+    lie in the cells next to the grid's maximum, with no sign change on the
+    grid; the maximum is then refined there, and a positive one brackets
+    the smaller root.  Returns the maximum of the balance when no root
+    exists (closest approach), the grid's when that lies at its end.
     """
     p = critical_exponent(n)
 
@@ -278,9 +340,23 @@ def constant_balance_root(h_bar, f_bar, a_bar, n):
     ts = np.logspace(-6.0, 2.0, 400)
     vals = balance(ts)
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(sign_change) == 0:
-        return float(ts[np.argmax(vals)])
-    lo, hi = ts[sign_change[0]], ts[sign_change[0] + 1]
+    if len(sign_change):
+        lo, hi = ts[sign_change[0]], ts[sign_change[0] + 1]
+    else:
+        i = int(np.argmax(vals))
+        if i in (0, len(ts) - 1):
+            return float(ts[i])
+        lo, hi = ts[i - 1], ts[i + 1]
+        for _ in range(100):
+            third = (hi - lo) / 3.0
+            if balance(lo + third) < balance(hi - third):
+                lo += third
+            else:
+                hi -= third
+        peak = 0.5 * (lo + hi)
+        if not vals[i - 1] < 0.0 < balance(peak):
+            return float(peak)
+        lo, hi = ts[i - 1], peak
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if balance(lo) * balance(mid) <= 0.0:
@@ -315,17 +391,19 @@ def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
 
     u = ScalarField(g, _initial_field(C, guess, C.quadratic()))
     W, kdef = solve_momentum(u, C)
+    a = C.quadratic(W)
 
     inner = replace(opts, coercivity_check="off")
     scal_res = mom_res = np.inf
     for it in range(1, opts.max_outer + 1):
-        u_new = solve_scalar(W, C, inner, guess=u)
+        u_new = solve_scalar(a, C, inner, guess=u)
         # damping guards the strongly nonlinear u^{2*} feedback early on;
         # near the fixed point full steps restore fast linear convergence
         damp = opts.damping if max(scal_res, mom_res) > 1e-6 else 1.0
         u = ScalarField(g, (1.0 - damp) * u.values + damp * u_new.values)
         W, kdef = solve_momentum(u, C)
-        scal_res = float(np.max(np.abs(scalar_residual_field(u, W, C))))
+        a = C.quadratic(W)
+        scal_res = float(np.max(np.abs(_scalar_residual(u, a, C))))
         mom_res = float(np.max(np.abs(momentum_residual_field(u, W, C))))
         converged = (scal_res < opts.tol_residual
                      and mom_res < opts.tol_residual)

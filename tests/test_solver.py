@@ -18,6 +18,7 @@ from lichlab.geometry import (
     Torus,
     h1_norm_squared,
 )
+from lichlab.harness import check_round_trip
 from lichlab.solver import (
     DegenerateDataError,
     NewtonDivergedError,
@@ -169,11 +170,28 @@ class TestCoercivity:
         assert not caught
 
 
+def fold(n, h, f):
+    """(t*, a*): for constant data on the torus, h t = f t^{2*-1} +
+    a t^{-2*-1} has positive roots exactly when a <= a*, the balance's
+    maximum at t* is 0 when a = a*, and the smaller root lies below t*."""
+    p = critical_exponent(n)
+    t_star = ((p + 2.0) * h / (2.0 * p * f)) ** (1.0 / (p - 2.0))
+    return t_star, h * t_star ** (p + 2.0) - f * t_star ** (2.0 * p)
+
+
+def smaller_root(n, h, f, a):
+    """The smaller positive root of the constant balance, for a < a*."""
+    p = critical_exponent(n)
+    t_star = fold(n, h, f)[0]
+    return brentq(lambda t: h * t - f * t ** (p - 1) - a * t ** (-p - 1),
+                  1e-6 * t_star, t_star, xtol=1e-15)
+
+
 class TestScalar:
     def test_degenerate_data_flagged(self, torus16):
         C = make_coeffs(torus16, h=1.0, f=0.0, b=0.0)
         with pytest.raises(DegenerateDataError):
-            solve_scalar(OneFormField.zero(torus16), C, SolveOptions())
+            solve_scalar(C.quadratic(), C, SolveOptions())
 
     def test_krylov_failure_raises(self, torus16, monkeypatch):
         # a usable step reported with a nonzero info is still a failure
@@ -183,9 +201,9 @@ class TestScalar:
             return minres(A, b, **kwargs)[0], -1
 
         monkeypatch.setattr(solver.spla, "minres", failing)
+        C = make_coeffs(torus16)
         with pytest.raises(NewtonDivergedError):
-            solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
-                         SolveOptions(),
+            solve_scalar(C.quadratic(), C, SolveOptions(),
                          guess=ScalarField.constant(torus16, 2.0))
 
     def test_non_descent_step_rejected(self, torus16, monkeypatch):
@@ -200,9 +218,9 @@ class TestScalar:
             return (-x if len(calls) == 1 else x), info
 
         monkeypatch.setattr(solver.spla, "minres", ascent_once)
+        C = make_coeffs(torus16)
         with pytest.raises(NewtonDivergedError):
-            solve_scalar(OneFormField.zero(torus16), make_coeffs(torus16),
-                         SolveOptions(),
+            solve_scalar(C.quadratic(), C, SolveOptions(),
                          guess=ScalarField.constant(torus16, 2.0))
         assert len(calls) == 1
 
@@ -218,7 +236,8 @@ class TestScalar:
 
         monkeypatch.setattr(scipy.fft, "rfftn", recording)
         g = Torus(3, 8)
-        solve_scalar(OneFormField.zero(g), make_coeffs(g), SolveOptions(),
+        C = make_coeffs(g)
+        solve_scalar(C.quadratic(), C, SolveOptions(),
                      guess=ScalarField.constant(g, 2.0))
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
@@ -232,7 +251,7 @@ class TestScalar:
         vals = np.ones(g.grid_shape)
         vals[1, 2, 3] = value
         guess = ScalarField(g, vals)
-        for solve in (lambda C: solve_scalar(OneFormField.zero(g), C,
+        for solve in (lambda C: solve_scalar(C.quadratic(), C,
                                              SolveOptions(), guess=guess),
                       lambda C: solve_system(C, guess=guess)):
             with pytest.raises(ValueError, match="guess"):
@@ -248,7 +267,7 @@ class TestScalar:
     def test_noncoercive_rejected(self, torus16):
         C = make_coeffs(torus16, h=-1.0)
         with pytest.raises(NonCoerciveError):
-            solve_scalar(OneFormField.zero(torus16), C, SolveOptions())
+            solve_scalar(C.quadratic(), C, SolveOptions())
 
     def test_manufactured_pointwise(self, torus16):
         g = torus16
@@ -256,7 +275,7 @@ class TestScalar:
         u_star = ScalarField(g, 2.0 + 0.1 * np.cos(x[0]) + np.zeros(g.grid_shape))
         C = make_coeffs(g, h=0.0, f=1.0, b=1.0)
         C = manufactured_forcing(u_star, OneFormField.zero(g), C)
-        u = solve_scalar(OneFormField.zero(g), C,
+        u = solve_scalar(C.quadratic(), C,
                          SolveOptions(coercivity_check="off"),
                          guess=ScalarField.constant(g, 2.0))
         assert np.max(np.abs(u.values - u_star.values)) < 1e-8
@@ -265,12 +284,91 @@ class TestScalar:
         g = torus16
         h, f, b = 1.0, 0.25, 0.125
         C = make_coeffs(g, h=h, f=f, b=b)
-        u = solve_scalar(OneFormField.zero(g), C, SolveOptions())
+        u = solve_scalar(C.quadratic(), C, SolveOptions())
         p = critical_exponent(3)
         root = brentq(lambda t: h * t - f * t ** (p - 1) - b * t ** (-p - 1),
                       0.1, 1.2, xtol=1e-14)
         assert np.max(np.abs(u.values - root)) < 1e-9
         assert abs(constant_balance_root(h, f, b, 3) - root) < 1e-6
+
+    @pytest.mark.parametrize("ratio", [0.98, 0.99, 0.995, 0.999])
+    def test_constant_balance_finds_the_smaller_root_near_the_fold(self,
+                                                                   ratio):
+        # both roots lie in the grid cells next to the balance's maximum,
+        # so the grid shows no sign change; the grid's argmax 1.3040 lies
+        # past the fold, and a cold start from it found the upper root
+        h, f = 2.0, 0.5
+        b = ratio * fold(3, h, f)[1]
+        smaller = smaller_root(3, h, f, b)
+        assert abs(constant_balance_root(h, f, b, 3) - smaller) < 1e-12
+        sol = solve_system(make_coeffs(Torus(3, 8), h=h, f=f, b=b))
+        assert sol.converged
+        assert np.max(np.abs(sol.u.values - smaller)) < 1e-12
+
+
+class TestExistenceEdge:
+    """The constant-data edge of existence as an exact oracle."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.floats(0.25, 4.0), f=st.floats(0.25, 4.0),
+           ratio=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 2.0)))
+    def test_solution_below_the_fold_and_none_above(self, n, h, f, ratio):
+        t_star, a_star = fold(n, h, f)
+        b = ratio * a_star
+        C = make_coeffs(Torus(n, 8), h=h, f=f, b=b)
+        if ratio > 1.0:
+            # the default start is the balance's maximum, the closest
+            # approach, so no step of the first Newton pass can reduce
+            # the residual
+            with pytest.raises(NewtonDivergedError, match=r"Newton step 0\)"):
+                solve_system(C)
+            return
+        smaller = smaller_root(n, h, f, b)
+        sol = solve_system(C)
+        assert sol.converged
+        assert np.max(sol.u.values) < t_star
+        assert np.max(np.abs(sol.u.values - smaller)) < 1e-9 * smaller
+
+
+class TestFourierCoordinates:
+    @pytest.mark.parametrize("n, N", [(3, 8), (3, 9), (4, 8), (4, 9)])
+    def test_map_is_an_isometry_and_its_adjoint_inverts_it(self, n, N):
+        g = Torus(n, N)
+        to_z, from_z = solver._fourier_map(g)
+        rng = np.random.default_rng(N)
+        x, y = rng.normal(size=(2,) + g.grid_shape)
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(to_z(x) @ to_z(y) - np.sum(x * y)) < 1e-15 * scale
+        assert np.max(np.abs(from_z(to_z(x)) - x)) < 1e-14
+        # adjoint on the whole coordinate space, whose k = 0 and Nyquist
+        # planes also hold directions that are no field's
+        z = rng.normal(size=to_z(x).size)
+        assert abs(to_z(x) @ z - np.sum(x * from_z(z))) \
+            < 1e-14 * np.linalg.norm(x) * np.linalg.norm(z)
+
+    def test_minres_matches_the_nodal_solve(self):
+        g = Torus(3, 16)
+        x = g.coords()
+        diag = (1.0 + 0.5 * np.cos(x[0]) * np.sin(x[1])
+                + 0.2 * np.cos(2.0 * x[2]) + np.zeros(g.grid_shape))
+        rhs = np.random.default_rng(3).normal(size=g.grid_shape)
+        shift = float(np.mean(diag))
+        to_z, from_z = solver._fourier_map(g)
+        results = []
+        for A, M, b, back in (
+                (*solver._shifted_laplacian(g, diag, shift), rhs.ravel(),
+                 lambda v: v.reshape(g.grid_shape)),
+                (*solver._fourier_newton_system(g, diag, shift, to_z,
+                                                from_z), to_z(rhs), from_z)):
+            iterations = []
+            v, info = spla.minres(A, b, M=M, rtol=1e-12, maxiter=400,
+                                  callback=lambda xk: iterations.append(1))
+            assert info == 0
+            results.append((back(v), len(iterations)))
+        (nodal, nodal_its), (fourier, fourier_its) = results
+        assert fourier_its == nodal_its > 0
+        assert np.max(np.abs(fourier - nodal)) < 1e-13
 
 
 class TestContract:
@@ -320,7 +418,7 @@ class TestSystem:
     def test_decoupled_matches_scalar(self, torus16):
         C = make_coeffs(torus16)
         sol = solve_system(C, SolveOptions())
-        u_direct = solve_scalar(OneFormField.zero(torus16), C, SolveOptions())
+        u_direct = solve_scalar(C.quadratic(), C, SolveOptions())
         assert sol.converged
         assert np.max(np.abs(sol.W.values)) < 1e-14
         assert np.max(np.abs(sol.u.values - u_direct.values)) < 1e-12
@@ -330,15 +428,37 @@ class TestSystem:
         tols = []
         inner = solver.solve_scalar
 
-        def recording(W, C, opts, guess=None):
+        def recording(a, C, opts, guess=None):
             tols.append(opts.tol_residual)
-            return inner(W, C, opts, guess=guess)
+            return inner(a, C, opts, guess=guess)
 
         monkeypatch.setattr(solver, "solve_scalar", recording)
         sol = solve_system(make_coeffs(torus16),
                            SolveOptions(tol_residual=1e-10))
         assert sol.converged
         assert tols and set(tols) == {1e-10}
+
+    def test_newton_and_krylov_effort_is_mesh_independent(self,
+                                                          monkeypatch):
+        # criterion-9 data at 16^3 and 32^3: the same Newton steps, each
+        # with the same MINRES iterations on both grids
+        minres = solver.spla.minres
+        iterations = {}
+
+        def counting(A, b, **kwargs):
+            steps = iterations.setdefault(b.size, [])
+            steps.append(0)
+
+            def callback(xk):
+                steps[-1] += 1
+
+            return minres(A, b, callback=callback, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "minres", counting)
+        rows = check_round_trip(grids=(16, 32))
+        assert all(row.passed for row in rows)
+        coarse, fine = (iterations[size] for size in sorted(iterations))
+        assert len(coarse) > 0 and coarse == fine
 
     def test_manufactured_fixed_point_immediate(self, torus16):
         g = torus16
@@ -416,7 +536,7 @@ class TestSystem:
                 g, 1.5 + 0.2 * np.cos(x[0]) * np.cos(x[1]) + np.zeros(g.grid_shape))
             C = make_coeffs(g, h=0.0, f=0.25, b=0.125)
             C = manufactured_forcing(u_star, OneFormField.zero(g), C)
-            u = solve_scalar(OneFormField.zero(g), C,
+            u = solve_scalar(C.quadratic(), C,
                              SolveOptions(coercivity_check="off"),
                              guess=ScalarField.constant(g, 1.5))
             errs.append(np.max(np.abs(u.values - u_star.values)))
