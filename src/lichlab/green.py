@@ -32,6 +32,7 @@ from .quadrature import ball_rule, singular_shells, sphere_area, unit_sphere_rul
 
 __all__ = [
     "fundamental",
+    "fundamental_contraction",
     "stress_contraction",
     "stress_kernel",
     "lame_of_columns",
@@ -46,17 +47,44 @@ def _kappa(n):
     return 1.0 / (4.0 * (n - 1.0) * sphere_area(n - 1))
 
 
+def _kelvin(n):
+    """kappa and A = (3n-2)/(n-2) of G in dimension n >= 3."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return _kappa(n), (3.0 * n - 2.0) / (n - 2.0)
+
+
 def fundamental(y, n):
     """Kelvin matrix G(y), shape (..., n, n); raises at y = 0."""
+    kappa, A = _kelvin(n)
     y = np.asarray(y, dtype=float)
     r = np.linalg.norm(y, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("fundamental solution is singular at y = 0")
     yh = y / r[..., None]
-    d = np.eye(n)
-    A = (3.0 * n - 2.0) / (n - 2.0)
-    out = A * d + (n - 2.0) * yh[..., :, None] * yh[..., None, :]
-    return _kappa(n) * r[..., None, None] ** (2.0 - n) * out
+    out = A * np.eye(n) + (n - 2.0) * yh[..., :, None] * yh[..., None, :]
+    return kappa * r[..., None, None] ** (2.0 - n) * out
+
+
+def fundamental_contraction(w, vec, weights):
+    """sum_M c_M G(w_M) vec_M, shape (n,), for w and vec of shape (M, n)
+    and weights c of shape (M,); raises at w = 0.
+
+    With G from ``fundamental``, the sum is
+
+        sum_M kappa |w_M|^{2-n} c_M [A vec_M + (n-2) w^_M (w^_M . vec_M)],
+
+    A = (3n-2)/(n-2), built without the (M, n, n) matrices.
+    """
+    w = np.asarray(w, dtype=float)
+    n = w.shape[-1]
+    kappa, A = _kelvin(n)
+    r = np.linalg.norm(w, axis=-1)
+    if np.any(r == 0.0):
+        raise ValueError("fundamental solution is singular at w = 0")
+    wh = w / r[:, None]
+    c = kappa * r ** (2.0 - n) * weights
+    return A * (c @ vec) + (n - 2.0) * ((c * np.sum(wh * vec, axis=1)) @ wh)
 
 
 def stress_contraction(w, vec, weights):
@@ -108,13 +136,20 @@ def _lame_fd(X, pts, h, n):
 
     X maps (M, n) points to (M, n, ...) values; trailing axes ride along.
     It is called once per distinct stencil point: the centre, four points
-    on each axis and sixteen in each coordinate plane, so 1 + 4n + 8n(n-1)
-    calls of M points each.  Every call gets a coordinate-major
-    (F-contiguous) float array, whatever the layout of pts, so a reduction
-    over the coordinate axis, such as np.sum(p ** 2, axis=-1), runs over
-    contiguous columns instead of length-n rows.  Elementwise code and such
-    sums give the same values in either layout; a callable whose reduction
-    order follows the layout (np.einsum, matmul) may differ at roundoff.
+    on each axis and eight on the two diagonals e_a +- e_b of each
+    coordinate plane, so 1 + 4n^2 calls of M points each.  The mixed
+    derivatives are 4th-order five-point second differences along those
+    diagonals,
+
+        d_a d_b X = (16 D(h) - D(2h)) / (48 h^2),
+        D(s) = X(+s,+s) + X(-s,-s) - X(+s,-s) - X(-s,+s)  in the (a, b) plane.
+
+    Every call gets a coordinate-major (F-contiguous) float array, whatever
+    the layout of pts, so a reduction over the coordinate axis, such as
+    np.sum(p ** 2, axis=-1), runs over contiguous columns instead of
+    length-n rows.  Elementwise code and such sums give the same values in
+    either layout; a callable whose reduction order follows the layout
+    (np.einsum, matmul) may differ at roundoff.
     """
     pts = np.asfortranarray(pts, dtype=float)
     e = h * np.eye(n)
@@ -124,10 +159,10 @@ def _lame_fd(X, pts, h, n):
         d2[a][a] = sum(w * (center if s == 0 else X(pts + s * e[a]))
                        for s, w in zip(_OFFSETS, _D2)) / (12.0 * h * h)
         for b in range(a):
-            d2[a][b] = d2[b][a] = sum(
-                wa * wb * X(pts + s * e[a] + t * e[b])
-                for s, wa in zip(_OFFSETS, _D1) if wa
-                for t, wb in zip(_OFFSETS, _D1) if wb) / (144.0 * h * h)
+            D = [X(pts + s * (e[a] + e[b])) + X(pts - s * (e[a] + e[b]))
+                 - X(pts + s * (e[a] - e[b])) - X(pts - s * (e[a] - e[b]))
+                 for s in (1, 2)]
+            d2[a][b] = d2[b][a] = (16.0 * D[0] - D[1]) / (48.0 * h * h)
     lap = sum(d2[a][a] for a in range(n))
     grad_div = np.stack([sum(d2[i][a][:, a] for a in range(n))
                          for i in range(n)], axis=1)
@@ -264,24 +299,33 @@ def representation_residual(X, x, n, radius=1.0, level=0):
     """Defect of the fundamental-solution representation at the point x.
 
     X is a vectorized callable mapping (M, n) points to (M, n) one-form
-    values, smooth and supported strictly inside the ball (so the boundary
-    terms of the representation formula drop).  The points X gets for
-    lame(X) are coordinate-major (F-contiguous) float arrays, so a
-    reduction over their last axis runs over contiguous columns; a
-    callable whose reduction order follows the layout (np.einsum, matmul)
-    may move the result at roundoff.  X(x) itself is called once on
-    x[None, :].  Returns
+    values, smooth and supported strictly inside the ball of the given
+    radius about 0 (so the boundary terms of the representation formula
+    drop).  x has shape (n,), n >= 3, radius > 0 and level >= 0; anything
+    else raises ValueError.  The points X gets for lame(X) are
+    coordinate-major (F-contiguous) float arrays, so a reduction over their
+    last axis runs over contiguous columns; a callable whose reduction
+    order follows the layout (np.einsum, matmul) may move the result at
+    roundoff.  X(x) itself is called once on x[None, :].  Returns
 
         max_i | X_i(x) - int G_i(x-y)_j lame(X)(y)^j dy |
 
-    with lame(X) from 4th-order central differences of X and a
-    singularity-patched quadrature: a polar patch around x (whose measure
-    cancels the kernel singularity) weighted by 1 - smoothstep of the
-    distance to x, and the ball weighted by smoothstep.  ``level`` refines
-    the pipeline: the FD step shrinks by 2^{1/4} per level (so the leading
-    O(h^4) error halves) and the quadrature orders grow alongside.
+    with lame(X) from the 4th-order central differences of ``_lame_fd``
+    (1 + 4n^2 calls of X per batch of nodes), contracted with G node by
+    node through ``fundamental_contraction``, and a singularity-patched
+    quadrature: a polar patch around x (whose measure cancels the kernel
+    singularity) weighted by 1 - smoothstep of the distance to x, and the
+    ball weighted by smoothstep.  ``level`` refines the pipeline: the FD
+    step shrinks by 2^{1/4} per level (so the leading O(h^4) error halves)
+    and the quadrature orders grow alongside.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x has shape {x.shape}, need ({n},)")
+    if not radius > 0.0:
+        raise ValueError(f"need a positive radius, got {radius}")
+    if not level >= 0:
+        raise ValueError(f"need level >= 0, got {level}")
     h = 0.02 * radius * 2.0 ** (-level / 4.0)
     npolar = 24 + 8 * level
     nrad = 20 + 4 * level
@@ -291,6 +335,5 @@ def representation_residual(X, x, n, radius=1.0, level=0):
     for y, wt in singular_shells(x, rho, nrad, np.linspace(0.0, 1.5 * rho, 7),
                                  rule, np.zeros(n),
                                  np.linspace(0.0, radius, 7), rule):
-        total += np.einsum("M,Mij,Mj->i", wt, fundamental(x - y, n),
-                           _lame_fd(X, y, h, n))
+        total += fundamental_contraction(x - y, _lame_fd(X, y, h, n), wt)
     return float(np.max(np.abs(np.asarray(X(x[None, :])[0]) - total)))

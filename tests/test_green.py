@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lichlab.green import (
     _lame_fd,
     fundamental,
+    fundamental_contraction,
     killing_basis,
     lame_of_columns,
     project_killing,
@@ -38,6 +40,27 @@ class TestFundamental:
         with pytest.raises(ValueError):
             fundamental(np.zeros(3), 3)
 
+    def test_dimension_two_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            fundamental(np.array([1.0, 0.0]), 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([3, 4, 5]), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_contraction_matches_matrices(self, n, M, seed):
+        rng = np.random.default_rng(seed)
+        d, v, w = (rng.normal(size=(M, n)), rng.normal(size=(M, n)),
+                   rng.normal(size=M))
+        G = fundamental(d, n)
+        expected = np.einsum("M,Mij,Mj->i", w, G, v)
+        scale = np.max(np.einsum("M,Mij,Mj->i", np.abs(w), np.abs(G),
+                                 np.abs(v)))
+        got = fundamental_contraction(d, v, w)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+        d[rng.integers(M)] = 0.0
+        with pytest.raises(ValueError):
+            fundamental_contraction(d, v, w)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_columns_in_lame_kernel(self, n):
         rng = np.random.default_rng(10 + n)
@@ -48,7 +71,8 @@ class TestFundamental:
 
 
 class TestLameStencil:
-    @pytest.mark.parametrize("n, calls", [(3, 61), (4, 113)])
+    # 1 + 4n^2: the centre, 4 points per axis, 8 per plane's diagonals
+    @pytest.mark.parametrize("n, calls", [(3, 37), (4, 65)])
     def test_each_stencil_point_evaluated_once(self, n, calls):
         h = 0.01
         pts = np.random.default_rng(7).uniform(-0.5, 0.5, size=(5, n))
@@ -76,27 +100,36 @@ class TestLameStencil:
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))
-    def test_cubic_one_forms_match_closed_form(self, n, seed):
-        # X_i = c_i + B_ia x_a + Q_iab x_a x_b + T_iabc x_a x_b x_c with Q, T
-        # symmetric in the lower indices; the stencil is exact on cubics
+    def test_quintic_one_forms_match_closed_form(self, n, seed):
+        # X_i = c_i + B_ia x_a + Q_iab x_a x_b + ... + S_iabcde x_a..x_e with
+        # each tensor symmetric in its lower indices.  A 4th-order stencil is
+        # exact on quintics; a 2nd-order one is not, its h^2 error being made
+        # of the 4th derivatives of the quartic and quintic terms.
         rng = np.random.default_rng(seed)
+
+        def symmetric(k):
+            T = rng.normal(size=(n,) * (k + 1))
+            return sum(np.transpose(T, (0,) + p)
+                       for p in permutations(range(1, k + 1))) / factorial(k)
+
         c, B = rng.normal(size=n), rng.normal(size=(n, n))
-        Q = rng.normal(size=(n, n, n))
-        Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
-        T = rng.normal(size=(n, n, n, n))
-        T = sum(np.transpose(T, (0,) + p)
-                for p in permutations((1, 2, 3))) / 6.0
+        Q, T, P, S = (symmetric(k) for k in (2, 3, 4, 5))
 
         def X(p):
             return (c + np.einsum("ia,Ma->Mi", B, p)
                     + np.einsum("iab,Ma,Mb->Mi", Q, p, p)
-                    + np.einsum("iabc,Ma,Mb,Mc->Mi", T, p, p, p))
+                    + np.einsum("iabc,Ma,Mb,Mc->Mi", T, p, p, p)
+                    + np.einsum("iabcd,Ma,Mb,Mc,Md->Mi", P, p, p, p, p)
+                    + np.einsum("iabcde,Ma,Mb,Mc,Md,Me->Mi",
+                                S, p, p, p, p, p))
 
         pts = rng.uniform(-1.0, 1.0, size=(20, n))
-        hess = 2.0 * Q + 6.0 * np.einsum("iabc,Mc->Miab", T, pts)
+        hess = (2.0 * Q + 6.0 * np.einsum("iabc,Mc->Miab", T, pts)
+                + 12.0 * np.einsum("iabcd,Mc,Md->Miab", P, pts, pts)
+                + 20.0 * np.einsum("iabcde,Mc,Md,Me->Miab", S, pts, pts, pts))
         closed = (-np.einsum("Miaa->Mi", hess)
                   - (1.0 - 2.0 / n) * np.einsum("Mjji->Mi", hess))
-        assert np.max(np.abs(_lame_fd(X, pts, 0.01, n) - closed)) < 1e-7
+        assert np.max(np.abs(_lame_fd(X, pts, 0.05, n) - closed)) < 1e-7
 
 
 class TestStressKernel:
@@ -187,6 +220,16 @@ class TestRepresentation:
 
         res = representation_residual(zero, np.zeros(3), 3, radius=1.0)
         assert res == 0.0
+
+    # a probe on a ball of negative radius would pass by construction (0.0)
+    @pytest.mark.parametrize("x, kwargs, match", [
+        (np.zeros(3), {"radius": -1.0}, "radius"),
+        (np.zeros(3), {"level": -3}, "level"),
+        (np.zeros(4), {}, "x has shape"),
+    ])
+    def test_bad_input_rejected(self, x, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            representation_residual(poly_bump, x, 3, **kwargs)
 
     def test_rotation_equivariance(self):
         theta_ang = 0.7

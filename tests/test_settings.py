@@ -1,6 +1,6 @@
 """Repository settings: the pytest settings in pyproject.toml, no unused
 imports in the package, its tests and its demos, no stale ``__all__``
-entry in the package, and the two quick demos run without a warning."""
+entry in the package, and the three quick demos run without a warning."""
 
 import ast
 import importlib
@@ -95,9 +95,10 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert run.stdout.strip() == "False", run.stdout + run.stderr
 
 
-# the other demos take 4-12 s each
+# these take 1-4 s each on a 2-core machine, the other demos 5-8 s each
 @pytest.mark.parametrize("demo", ["demo_operators.py",
-                                  "demo_stability_sweep.py"])
+                                  "demo_stability_sweep.py",
+                                  "demo_green_kernel.py"])
 def test_demo_runs_without_warning(demo, tmp_path):
     run = subprocess.run(
         [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
