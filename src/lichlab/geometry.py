@@ -413,6 +413,8 @@ class Chart(_Box):
     extent: float = 1.0
 
     def __post_init__(self):
+        if self.dimension < 3:
+            raise ValueError("dimension must be >= 3")
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8 per axis")
         if not 0.0 < self.extent < np.inf:

@@ -479,7 +479,7 @@ def _classify_trajectory(cfg, rows):
         return "VanishingLimit"
     diffs = [r.diff_prev for r in rows[-3:]]
     band = min(r.inf_u for r in rows) > 0.0
-    if band and len(diffs) == 3 and diffs[0] > diffs[1] > diffs[2]:
+    if band and diffs[0] > diffs[1] > diffs[2]:
         return "Stable-band"
     return "NonConvergent"
 

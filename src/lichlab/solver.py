@@ -18,14 +18,13 @@ The Newton linearization keeps both nonlinear terms,
 
 the negative-power term enters with a positive sign, which is stabilizing.
 Each Newton system is solved by MINRES in orthonormal real Fourier
-coordinates (``_fourier_map``), an isometry of the nodal fields, so MINRES
-takes the same iterates as on nodal vectors.  There the constant-coefficient
-preconditioner (|k|^2 + shift)^-1 is an elementwise product and lap is the
-multiplier |k|^2, so an iteration costs one forward and one inverse
-transform, for the diagonal term.  The whole pipeline stays deterministic.
-The coercivity check computes the smallest eigenvalue of lap + h by LOBPCG
-on nodal vectors (``_shifted_laplacian``), where the operator has no
-directions besides the fields'.
+coordinates (``_fourier_map``), an orthogonal map of the nodal fields onto
+R^{N^n}, so MINRES takes the same iterates as on nodal vectors.  There the
+constant-coefficient preconditioner (|k|^2 + shift)^-1 is an elementwise
+product and lap is the multiplier |k|^2, so an iteration costs one forward
+and one inverse transform, for the diagonal term.  The coercivity check
+runs LOBPCG on the same system with diag = h, at the same cost.  The whole
+pipeline stays deterministic.
 """
 
 from __future__ import annotations
@@ -39,8 +38,10 @@ import scipy.sparse.linalg as spla
 
 from .conformal import critical_exponent
 from .geometry import (
+    GeometryMismatch,
     OneFormField,
     ScalarField,
+    Torus,
     _check_geometry,
     lame,
     lame_invert,
@@ -139,77 +140,74 @@ def _momentum_rhs(u, C):
 
 
 def momentum_residual_field(u, W, C):
-    """Residual of the momentum equation after removing the kernel part."""
+    """Residual of the momentum equation after removing the kernel part,
+    the constant forms of the torus (GeometryMismatch off the torus)."""
+    if not isinstance(C.geometry, Torus):
+        raise GeometryMismatch("momentum_residual_field requires a torus "
+                               "geometry")
     rhs = _momentum_rhs(u, C)
     rhs = rhs - np.mean(rhs, axis=tuple(range(1, rhs.ndim)), keepdims=True)
     return lame(W).values - rhs
 
 
-def _shifted_laplacian(g, diag, shift):
-    """lap + diag on flat vectors and its preconditioner (|k|^2 + shift)^-1."""
-    shape = g.grid_shape
-    size = int(np.prod(shape))
-    inv_symbol = 1.0 / (g.k2 + shift)
-
-    def matvec(x):
-        v = x.reshape(shape)
-        return (g.laplacian(v) + diag * v).ravel()
-
-    def precond(x):
-        return g.irfft(inv_symbol * g.rfft(x.reshape(shape))).ravel()
-
-    # with a dtype, scipy does not probe each operator with a zero vector
-    return (spla.LinearOperator((size, size), matvec=matvec, dtype=float),
-            spla.LinearOperator((size, size), matvec=precond, dtype=float))
-
-
 def _fourier_map(g):
-    """(to_z, from_z) between nodal fields and orthonormal Fourier coordinates.
+    """(to_z, from_z, k2): an orthogonal map of nodal fields onto R^{N^n},
+    its inverse and transpose, and the symbol |k|^2 of lap in its order.
 
-    ``to_z(x)`` is ``sqrt(w / N^n) rfft(x)`` flattened into (re, im) pairs,
-    with w = 1 on the last-axis k = 0 plane and, for even N, on its Nyquist
-    plane, where a half-spectrum mode stands for itself alone, and w = 2
-    elsewhere, where it also stands for its conjugate; so |to_z(x)| = |x|.
-    ``from_z`` is its adjoint: it inverts ``to_z`` on its range and drops
-    the anti-Hermitian parts of the k = 0 and Nyquist planes, which no real
-    field has.
+    to_z holds rfft(x) as (re, im) pairs times sqrt(2 / N^n), since each
+    half-spectrum mode also stands for its conjugate.  On the last-axis
+    k = 0 plane, and the Nyquist plane of even N, the conjugate of mode k'
+    is mode -k' of the same plane: only the first of the two is kept, and a
+    mode with k' = -k', which is real, gives its real part times
+    sqrt(1 / N^n).  from_z refills the dropped conjugates.
     """
+    n, N = g.dimension, g.resolution
     half = g.k2.shape
-    w = np.full(half, 2.0)
-    w[..., 0] = 1.0
-    if g.resolution % 2 == 0:
-        w[..., -1] = 1.0
-    scale = np.sqrt(w / g.resolution ** g.dimension)
+    index = np.arange(g.k2.size)
+    minus = -np.arange(N) % N
+    conjugate = index.reshape(half)[np.ix_(*[minus] * (n - 1),
+                                           np.arange(half[-1]))]
+    # a mode off the planes keeps its (re, im) pair: conjugate past all
+    on_plane = 2 * np.arange(half[-1]) % N == 0
+    conjugate = np.where(on_plane, conjugate, index.size).reshape(-1)
+    pairs = np.flatnonzero(index < conjugate)
+    reals = np.flatnonzero(index == conjugate)
+    copies = np.flatnonzero(index > conjugate)
+    pair_scale = np.sqrt(2.0 / N ** n)
+    real_scale = np.sqrt(1.0 / N ** n)
+    split = 2 * pairs.size
 
     def to_z(x):
-        return (scale * g.rfft(x)).reshape(-1).view(float)
+        spectrum = g.rfft(x).reshape(-1)
+        return np.concatenate(((pair_scale * spectrum[pairs]).view(float),
+                               real_scale * spectrum[reals].real))
 
     def from_z(z):
-        return g.irfft(z.reshape(-1).view(complex).reshape(half) / scale)
+        z = z.reshape(-1)
+        spectrum = np.empty(g.k2.size, dtype=complex)
+        spectrum[pairs] = z[:split].view(complex) * (1.0 / pair_scale)
+        spectrum[reals] = z[split:] * (1.0 / real_scale)
+        spectrum[copies] = spectrum[conjugate[copies]].conj()
+        return g.irfft(spectrum.reshape(half))
 
-    return to_z, from_z
-
-
-def _fourier_newton_system(g, diag, shift, to_z, from_z):
-    """lap + diag and its preconditioner (|k|^2 + shift)^-1 in the
-    coordinates of ``_fourier_map``: |k|^2 z + to_z(diag from_z(z)), two
-    transforms per product, and an elementwise preconditioner.
-
-    The k = 0 and Nyquist planes carry anti-Hermitian directions that are
-    no field's, on which the operator acts as |k|^2.  MINRES never reaches
-    them: its right-hand side has no component there, and from_z drops any.
-    """
     k2 = g.k2.reshape(-1)
+    return to_z, from_z, np.concatenate((np.repeat(k2[pairs], 2), k2[reals]))
+
+
+def _fourier_newton_system(diag, shift, to_z, from_z, k2):
+    """lap + diag and its preconditioner (|k|^2 + shift)^-1 in the
+    coordinates of ``_fourier_map``: k2 z + to_z(diag from_z(z)), two
+    transforms per product, and an elementwise preconditioner."""
     inv_symbol = 1.0 / (k2 + shift)
-    size = 2 * k2.size
+    size = k2.size
 
     def matvec(z):
-        return ((k2 * z.reshape(-1).view(complex)).view(float)
-                + to_z(diag * from_z(z)))
+        return k2 * z.reshape(-1) + to_z(diag * from_z(z))
 
     def precond(z):
-        return (inv_symbol * z.reshape(-1).view(complex)).view(float)
+        return inv_symbol * z.reshape(-1)
 
+    # with a dtype, scipy does not probe each operator with a zero vector
     return (spla.LinearOperator((size, size), matvec=matvec, dtype=float),
             spla.LinearOperator((size, size), matvec=precond, dtype=float))
 
@@ -219,20 +217,19 @@ def check_coercivity(C, mode="strict"):
 
     Raises NonCoerciveError when it is not above the mode's limit or when
     LOBPCG does not converge.  The start vector mixes the constant mode
-    with a fixed low mode, so the run is deterministic.  LOBPCG runs on
-    nodal vectors: in the Newton solver's Fourier coordinates the k = 0 and
-    Nyquist planes carry extra directions on which the operator is |k|^2,
-    and LOBPCG would report such a |k|^2 >= 1 as the smallest eigenvalue
-    whenever the true one is larger.
+    with a fixed low mode, so the run is deterministic.  LOBPCG runs on the
+    Newton solver's system, in the coordinates of ``_fourier_map``.
     """
     if mode == "off":
         return 0.0
     g = C.geometry
     h = C.h.values
+    to_z, from_z, k2 = _fourier_map(g)
     # on drawn 16^3 wells, whose mean h is near or below 0, LOBPCG took up
     # to 51 iterations with this shift and up to 87 of its 100 with Newton's
     # max(mean h, 1e-8)
-    A, M = _shifted_laplacian(g, h, max(abs(float(np.mean(h))), 1.0))
+    A, M = _fourier_newton_system(h, max(abs(float(np.mean(h))), 1.0),
+                                  to_z, from_z, k2)
     shape = g.grid_shape
     first = np.arange(shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
     start = np.ones(shape) + 0.1 * np.cos(2.0 * np.pi * first / shape[0])
@@ -240,7 +237,7 @@ def check_coercivity(C, mode="strict"):
         # lobpcg reports non-convergence only by a UserWarning
         warnings.simplefilter("error", UserWarning)
         try:
-            eigenvalue = float(spla.lobpcg(A, start.reshape(-1, 1), M=M,
+            eigenvalue = float(spla.lobpcg(A, to_z(start)[:, None], M=M,
                                            tol=1e-8, maxiter=100,
                                            largest=False)[0][0])
         except UserWarning as warning:
@@ -270,7 +267,7 @@ def solve_scalar(a, C, opts: SolveOptions, guess=None):
 
     degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
     u = _initial_field(C, guess, a)
-    to_z, from_z = _fourier_map(g)
+    to_z, from_z, k2 = _fourier_map(g)
 
     res = _scalar_residual(ScalarField(g, u), a, C)
     for it in range(_MAX_NEWTON):
@@ -280,7 +277,7 @@ def solve_scalar(a, C, opts: SolveOptions, guess=None):
         diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
                 + (p + 1.0) * a * u ** (-p - 2.0))
         op, M = _fourier_newton_system(
-            g, diag, max(float(np.mean(diag)), 1e-8), to_z, from_z)
+            diag, max(float(np.mean(diag)), 1e-8), to_z, from_z, k2)
         z, info = spla.minres(op, -to_z(res), M=M, rtol=1e-12, maxiter=400)
         if info != 0:
             raise NewtonDivergedError(

@@ -184,6 +184,12 @@ class TestSphereRadial:
 
 
 class TestChart:
+    @pytest.mark.parametrize("box", [Torus, Chart])
+    def test_dimension_below_three_rejected(self, box):
+        # the critical exponent 2n/(n-2) has no meaning below n = 3
+        with pytest.raises(ValueError, match="dimension"):
+            box(2, 17)
+
     def test_laplacian_polynomial(self):
         g = Chart(3, 33, extent=1.0)
         x = g.coords()

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
-from lichlab.geometry import SphereRadial, conformal_killing_deriv
+from lichlab.geometry import (
+    GeometryMismatch,
+    SphereRadial,
+    conformal_killing_deriv,
+)
 from lichlab.instability import (
     EtaParams,
     assemble,
@@ -12,6 +16,7 @@ from lichlab.instability import (
     sphere_yamabe_residual,
     verify,
 )
+from lichlab.solver import momentum_residual_field
 
 
 class TestSphereBubble:
@@ -153,6 +158,13 @@ class TestAssembly:
 
 
 class TestVerify:
+    def test_momentum_residual_rejected_off_the_torus(self):
+        # it removes the torus's constant-form kernel, which the sphere's
+        # radial one-forms do not have
+        asm = assemble(1.25, geometry=SphereRadial(512))
+        with pytest.raises(GeometryMismatch):
+            momentum_residual_field(asm.phi, asm.W, asm.C)
+
     def test_lam_15_closed_form_value(self):
         rep = verify(assemble(1.5, geometry=SphereRadial(1024)))
         assert rep.sup_phi == pytest.approx(2.5 ** 0.25 / 0.5 ** 0.25,
