@@ -139,11 +139,16 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
 
     Returns a PohozaevReport with the interior/boundary values and the
     interior term breakdown.  ``direction`` switches from the dilation
-    identity to the translation identity along that vector.
+    identity to the translation identity along that vector.  C must live
+    on v's chart (GeometryMismatch) and the radius must be positive
+    (ValueError).
     """
     g = v.geometry
     if not isinstance(g, Chart):
         raise GeometryMismatch("pohozaev_defect expects chart fields")
+    _check_geometry(C, g)
+    if not radius > 0.0:
+        raise ValueError(f"need a positive radius, got {radius}")
     n = g.dimension
     center = np.asarray(center, dtype=float)
     if np.max(np.abs(center)) + radius > g.extent:

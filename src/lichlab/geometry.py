@@ -6,7 +6,9 @@ discretisation of one calculus:
 * ``Torus``     -- flat periodic box T^n, spectral differentiation through
                    half-spectrum real transforms (``Torus.rfft``/``irfft``,
                    batched over field components) and cached half-spectrum
-                   symbols (``Torus.k2``, ``Torus.k_odd``),
+                   symbols (``Torus.k2``, ``Torus.k_odd``); the orthonormal
+                   Hartley transform ``Torus.hartley`` and its symbol
+                   ``Torus.k2_full`` give the solver real coordinates,
 * ``SphereRadial`` -- radial reduction of the round S^3, 1-D finite differences,
 * ``Chart``     -- non-periodic Euclidean box, n-D finite differences
                    (used by the chart-based diagnostics).
@@ -253,13 +255,23 @@ class Torus(_Box):
         """Inverse of ``rfft``: real nodal values from a half spectrum."""
         return scipy.fft.irfftn(coeffs, s=self.grid_shape, axes=self._axes)
 
-    def _half_wavevectors(self, odd):
+    def hartley(self, values):
+        """Orthonormal Hartley transform (Re - Im) fft / sqrt(N^n) over the
+        last n axes, batched over leading axes like ``rfft``.
+
+        It is real, symmetric and its own inverse, and it diagonalizes the
+        Laplacian: hartley(laplacian(x)) = k2_full * hartley(x).
+        """
+        spectrum = scipy.fft.fftn(values, axes=self._axes, norm="ortho")
+        return spectrum.real - spectrum.imag
+
+    def _wavevectors(self, odd, half=True):
         k_full = 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
         k_half = 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
         if odd and self.resolution % 2 == 0:
             k_full[self.resolution // 2] = 0.0
             k_half[-1] = 0.0
-        axes = [k_full] * (self.dimension - 1) + [k_half]
+        axes = [k_full] * (self.dimension - 1) + [k_half if half else k_full]
         return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
@@ -271,12 +283,17 @@ class Torus(_Box):
         stay conjugate-symmetric on real fields; even multipliers like
         |k|^2 are unaffected.
         """
-        return self._half_wavevectors(odd=True)
+        return self._wavevectors(odd=True)
 
     @cached_property
     def k2(self):
         """Half-spectrum symbol |k|^2 of the Laplacian, Nyquist included."""
-        return np.sum(self._half_wavevectors(odd=False) ** 2, axis=0)
+        return np.sum(self._wavevectors(odd=False) ** 2, axis=0)
+
+    @cached_property
+    def k2_full(self):
+        """Full-spectrum symbol |k|^2 of the Laplacian, in ``hartley`` order."""
+        return np.sum(self._wavevectors(odd=False, half=False) ** 2, axis=0)
 
     def _k(self, ndim):
         """``k_odd`` shaped to broadcast against a spectrum with ndim axes."""

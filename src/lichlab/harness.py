@@ -525,6 +525,13 @@ class CheckRow:
     passed: bool
 
 
+def _need_two(name, sizes):
+    """A refinement check compares consecutive sizes: it needs two."""
+    if len(sizes) < 2:
+        raise ValueError(f"a refinement check needs at least two {name}, "
+                         f"got {len(sizes)}")
+
+
 def _check(name, group, measured, tolerance):
     return CheckRow(name=name, group=group, measured=float(measured),
                     tolerance=float(tolerance),
@@ -537,21 +544,14 @@ def check_energy_identity(resolution, draws, band):
 
     g = Torus(3, resolution)
     rng = np.random.default_rng(2024)
-    freqs = np.fft.fftfreq(resolution, d=1.0 / resolution).astype(int)
-    pos = {c: np.nonzero(freqs == c)[0][0] for c in range(-band, band + 1)}
+    near = np.abs(np.fft.fftfreq(resolution, d=1.0 / resolution)) <= band
+    keep = near[:, None, None] & near[:, None] & near
+    keep[0, 0, 0] = False
     weights = sym_weights(3)[:, None, None, None]
-    side = 2 * band + 1
     worst = 0.0
     for _ in range(draws):
-        what = np.zeros((3,) + g.grid_shape, dtype=complex)
-        for a in range(3):
-            for idx in np.ndindex(side, side, side):
-                k = tuple(i - band for i in idx)
-                if k == (0, 0, 0):
-                    continue
-                what[a][tuple(pos[c] for c in k)] = rng.normal() \
-                    + 1j * rng.normal()
-        W = OneFormField(g, np.real(np.fft.ifftn(what, axes=(1, 2, 3))))
+        W = OneFormField(g, g.hartley(keep * rng.normal(
+            size=g.one_form_shape)))
         lhs = l2_inner(g, lame(W).values, W.values)
         LW = conformal_killing_deriv(W)
         rhs = 0.5 * l2_inner(g, weights * LW.values, LW.values)
@@ -641,6 +641,7 @@ def check_pohozaev(grids):
     from .diagnostics import pohozaev_defect
     from .geometry import Chart
 
+    _need_two("grids", grids)
     p = BubbleParams(n=3, mu=1.0, f_center=3.0)
     defects = []
     for N in grids:
@@ -695,6 +696,7 @@ def check_representation(finest_level):
     """Representation residual of a bump: halves per level, ends < 1e-2."""
     from .green import representation_residual
 
+    _need_two("levels", range(finest_level + 1))
     res = [representation_residual(_bump, np.zeros(3), 3, radius=1.0,
                                    level=le)
            for le in range(finest_level + 1)]
@@ -795,6 +797,7 @@ def check_round_trip(grids):
     Every solve converges, and the Hamiltonian and momentum defects of the
     reconstructed data fall at least 3x per doubling of the grid.
     """
+    _need_two("grids", grids)
     unconverged = 0
     defects = []
     for N in grids:

@@ -17,14 +17,14 @@ The Newton linearization keeps both nonlinear terms,
     J(du) = lap du + [h - (2*-1) f u^{2*-2} + (2*+1) a u^{-2*-2}] du ;
 
 the negative-power term enters with a positive sign, which is stabilizing.
-Each Newton system is solved by MINRES in orthonormal real Fourier
-coordinates (``_fourier_map``), an orthogonal map of the nodal fields onto
-R^{N^n}, so MINRES takes the same iterates as on nodal vectors.  There the
-constant-coefficient preconditioner (|k|^2 + shift)^-1 is an elementwise
-product and lap is the multiplier |k|^2, so an iteration costs one forward
-and one inverse transform, for the diagonal term.  The coercivity check
-runs LOBPCG on the same system with diag = h, at the same cost.  The whole
-pipeline stays deterministic.
+Each Newton system is solved by MINRES in the coordinates of the
+orthonormal Hartley transform (``Torus.hartley``), which is real, its own
+inverse and transpose, so MINRES takes the same iterates as on nodal
+vectors.  There the constant-coefficient preconditioner
+(|k|^2 + shift)^-1 is an elementwise product and lap is the multiplier
+|k|^2, so an iteration costs two transforms, for the diagonal term.  The
+coercivity check runs LOBPCG on the same system with diag = h, at the
+same cost.  The whole pipeline stays deterministic.
 """
 
 from __future__ import annotations
@@ -150,62 +150,21 @@ def momentum_residual_field(u, W, C):
     return lame(W).values - rhs
 
 
-def _fourier_map(g):
-    """(to_z, from_z, k2): an orthogonal map of nodal fields onto R^{N^n},
-    its inverse and transpose, and the symbol |k|^2 of lap in its order.
-
-    to_z holds rfft(x) as (re, im) pairs times sqrt(2 / N^n), since each
-    half-spectrum mode also stands for its conjugate.  On the last-axis
-    k = 0 plane, and the Nyquist plane of even N, the conjugate of mode k'
-    is mode -k' of the same plane: only the first of the two is kept, and a
-    mode with k' = -k', which is real, gives its real part times
-    sqrt(1 / N^n).  from_z refills the dropped conjugates.
-    """
-    n, N = g.dimension, g.resolution
-    half = g.k2.shape
-    index = np.arange(g.k2.size)
-    minus = -np.arange(N) % N
-    conjugate = index.reshape(half)[np.ix_(*[minus] * (n - 1),
-                                           np.arange(half[-1]))]
-    # a mode off the planes keeps its (re, im) pair: conjugate past all
-    on_plane = 2 * np.arange(half[-1]) % N == 0
-    conjugate = np.where(on_plane, conjugate, index.size).reshape(-1)
-    pairs = np.flatnonzero(index < conjugate)
-    reals = np.flatnonzero(index == conjugate)
-    copies = np.flatnonzero(index > conjugate)
-    pair_scale = np.sqrt(2.0 / N ** n)
-    real_scale = np.sqrt(1.0 / N ** n)
-    split = 2 * pairs.size
-
-    def to_z(x):
-        spectrum = g.rfft(x).reshape(-1)
-        return np.concatenate(((pair_scale * spectrum[pairs]).view(float),
-                               real_scale * spectrum[reals].real))
-
-    def from_z(z):
-        z = z.reshape(-1)
-        spectrum = np.empty(g.k2.size, dtype=complex)
-        spectrum[pairs] = z[:split].view(complex) * (1.0 / pair_scale)
-        spectrum[reals] = z[split:] * (1.0 / real_scale)
-        spectrum[copies] = spectrum[conjugate[copies]].conj()
-        return g.irfft(spectrum.reshape(half))
-
-    k2 = g.k2.reshape(-1)
-    return to_z, from_z, np.concatenate((np.repeat(k2[pairs], 2), k2[reals]))
-
-
-def _fourier_newton_system(diag, shift, to_z, from_z, k2):
+def _fourier_newton_system(g, diag, shift):
     """lap + diag and its preconditioner (|k|^2 + shift)^-1 in the
-    coordinates of ``_fourier_map``: k2 z + to_z(diag from_z(z)), two
-    transforms per product, and an elementwise preconditioner."""
+    orthonormal Hartley coordinates of ``Torus.hartley``: k2 z +
+    H(diag H z), two transforms per product, and an elementwise
+    preconditioner."""
+    k2 = g.k2_full
     inv_symbol = 1.0 / (k2 + shift)
     size = k2.size
 
     def matvec(z):
-        return k2 * z.reshape(-1) + to_z(diag * from_z(z))
+        z = z.reshape(k2.shape)
+        return k2 * z + g.hartley(diag * g.hartley(z))
 
     def precond(z):
-        return inv_symbol * z.reshape(-1)
+        return inv_symbol * z.reshape(k2.shape)
 
     # with a dtype, scipy does not probe each operator with a zero vector
     return (spla.LinearOperator((size, size), matvec=matvec, dtype=float),
@@ -218,26 +177,25 @@ def check_coercivity(C, mode="strict"):
     Raises NonCoerciveError when it is not above the mode's limit or when
     LOBPCG does not converge.  The start vector mixes the constant mode
     with a fixed low mode, so the run is deterministic.  LOBPCG runs on the
-    Newton solver's system, in the coordinates of ``_fourier_map``.
+    Newton solver's system, in Hartley coordinates.
     """
     if mode == "off":
         return 0.0
     g = C.geometry
     h = C.h.values
-    to_z, from_z, k2 = _fourier_map(g)
     # on drawn 16^3 wells, whose mean h is near or below 0, LOBPCG took up
     # to 51 iterations with this shift and up to 87 of its 100 with Newton's
     # max(mean h, 1e-8)
-    A, M = _fourier_newton_system(h, max(abs(float(np.mean(h))), 1.0),
-                                  to_z, from_z, k2)
+    A, M = _fourier_newton_system(g, h, max(abs(float(np.mean(h))), 1.0))
     shape = g.grid_shape
     first = np.arange(shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
-    start = np.ones(shape) + 0.1 * np.cos(2.0 * np.pi * first / shape[0])
+    start = g.hartley(np.ones(shape)
+                      + 0.1 * np.cos(2.0 * np.pi * first / shape[0]))
     with warnings.catch_warnings():
         # lobpcg reports non-convergence only by a UserWarning
         warnings.simplefilter("error", UserWarning)
         try:
-            eigenvalue = float(spla.lobpcg(A, to_z(start)[:, None], M=M,
+            eigenvalue = float(spla.lobpcg(A, start.reshape(-1, 1), M=M,
                                            tol=1e-8, maxiter=100,
                                            largest=False)[0][0])
         except UserWarning as warning:
@@ -267,7 +225,6 @@ def solve_scalar(a, C, opts: SolveOptions, guess=None):
 
     degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
     u = _initial_field(C, guess, a)
-    to_z, from_z, k2 = _fourier_map(g)
 
     res = _scalar_residual(ScalarField(g, u), a, C)
     for it in range(_MAX_NEWTON):
@@ -276,14 +233,15 @@ def solve_scalar(a, C, opts: SolveOptions, guess=None):
             return ScalarField(g, u)
         diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
                 + (p + 1.0) * a * u ** (-p - 2.0))
-        op, M = _fourier_newton_system(
-            diag, max(float(np.mean(diag)), 1e-8), to_z, from_z, k2)
-        z, info = spla.minres(op, -to_z(res), M=M, rtol=1e-12, maxiter=400)
+        op, M = _fourier_newton_system(g, diag,
+                                       max(float(np.mean(diag)), 1e-8))
+        z, info = spla.minres(op, -g.hartley(res).reshape(-1), M=M,
+                              rtol=1e-12, maxiter=400)
         if info != 0:
             raise NewtonDivergedError(
                 f"MINRES failed on the Newton system (info {info}) at "
                 f"residual {res_norm:.3e}")
-        delta = from_z(z)
+        delta = g.hartley(z.reshape(g.grid_shape))
 
         t = 1.0
         for _ in range(60):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,25 @@ class TestPohozaev:
         v = ScalarField.constant(g, 1.0)
         with pytest.raises(ValueError):
             pohozaev_defect(v, chart_coeffs(g), np.array([0.5, 0, 0]), 0.8)
+
+    def test_coefficients_on_another_chart_rejected(self):
+        # a finer chart of the same extent: read on v's nodes, its f would
+        # give another, wrong, interior value
+        p = BubbleParams(n=3, mu=1.0, f_center=3.0)
+        g = Chart(3, 33, extent=1.3)
+        v = ScalarField(g, bubble(p, chart_points(g)))
+        fine = Chart(3, 65, extent=1.3)
+        C = replace(chart_coeffs(fine), f=ScalarField(
+            fine, 3.0 + 0.3 * chart_points(fine)[..., 0]))
+        with pytest.raises(GeometryMismatch):
+            pohozaev_defect(v, C, np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("radius", [-0.5, 0.0])
+    def test_radius_must_be_positive(self, radius):
+        g = Chart(3, 33, extent=1.3)
+        v = ScalarField.constant(g, 1.0)
+        with pytest.raises(ValueError, match="positive radius"):
+            pohozaev_defect(v, chart_coeffs(g, f=3.0), np.zeros(3), radius)
 
 
 class TestCovariance:

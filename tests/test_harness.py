@@ -320,6 +320,29 @@ class TestVerificationSuite:
         assert [r.name for r in rows if not r.passed] == []
         assert [r.name for r in rows] == VERIFY_ROW_NAMES
 
+    @pytest.mark.parametrize("check", [
+        lambda: harness.check_round_trip((64,)),
+        lambda: harness.check_pohozaev(grids=(33,)),
+        lambda: harness.check_representation(finest_level=0)],
+        ids=["round_trip", "pohozaev", "representation"])
+    def test_refinement_check_needs_two_sizes(self, check, monkeypatch):
+        # a refinement order compares consecutive sizes: one size is
+        # rejected before any solve or quadrature starts
+        import lichlab.diagnostics as diagnostics
+        import lichlab.green as green
+
+        calls = []
+
+        def work(*args, **kwargs):
+            calls.append(1)
+
+        monkeypatch.setattr(harness, "solve_system", work)
+        monkeypatch.setattr(diagnostics, "pohozaev_defect", work)
+        monkeypatch.setattr(green, "representation_residual", work)
+        with pytest.raises(ValueError, match="at least two"):
+            check()
+        assert not calls
+
     def test_lame_fault_fails_energy_identity_at_both_sizes(self,
                                                             monkeypatch):
         lame = harness.lame

@@ -229,20 +229,40 @@ class TestScalar:
 
     def test_transforms_see_only_float_vectors(self, monkeypatch):
         # an operator built without a dtype is probed by scipy with an int8
-        # zero vector: one wasted matvec and preconditioner apply per step
-        rfftn = scipy.fft.rfftn
-        dtypes = []
+        # zero vector: one wasted matvec and preconditioner apply per step.
+        # The transforms are looked up on the scipy.fft module at each call,
+        # so replacing its attributes (as a tracer does) sees every one,
+        # the Krylov operator's Hartley transforms included
+        minres = solver.spla.minres
+        dtypes = {"rfftn": [], "fftn": [], "fftn in minres": []}
+        inside = []
 
-        def recording(values, *args, **kwargs):
-            dtypes.append(np.asarray(values).dtype)
-            return rfftn(values, *args, **kwargs)
+        def recording(name):
+            transform = getattr(scipy.fft, name)
 
-        monkeypatch.setattr(scipy.fft, "rfftn", recording)
+            def record(values, *args, **kwargs):
+                dtypes[name].append(np.asarray(values).dtype)
+                if name == "fftn" and inside:
+                    dtypes["fftn in minres"].append(dtypes[name][-1])
+                return transform(values, *args, **kwargs)
+            return record
+
+        def flagged(*args, **kwargs):
+            inside.append(1)
+            try:
+                return minres(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for name in ("rfftn", "fftn"):
+            monkeypatch.setattr(scipy.fft, name, recording(name))
+        monkeypatch.setattr(solver.spla, "minres", flagged)
         g = Torus(3, 8)
         C = make_coeffs(g)
         solve_scalar(C.quadratic(), C, SolveOptions(),
                      guess=ScalarField.constant(g, 2.0))
-        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        for seen in dtypes.values():
+            assert seen and set(seen) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("value", [0.0, -1.0, 1e-9])
     def test_guess_must_stay_above_the_floor(self, value, monkeypatch):
@@ -335,22 +355,22 @@ class TestExistenceEdge:
 
 
 class TestFourierCoordinates:
-    @pytest.mark.parametrize("n, N", [(3, 8), (3, 9), (4, 8), (4, 9)])
+    @pytest.mark.parametrize("n, N", [(3, 8), (3, 9), (4, 8), (4, 9),
+                                      (5, 8), (5, 9)])
     def test_map_is_orthogonal(self, n, N):
+        # the Hartley transform is real, its own inverse and transpose, and
+        # diagonalizes lap
         g = Torus(n, N)
-        to_z, from_z, k2 = solver._fourier_map(g)
+        H = g.hartley
         rng = np.random.default_rng(N)
         x, y = rng.normal(size=(2,) + g.grid_shape)
         scale = np.linalg.norm(x) * np.linalg.norm(y)
-        assert abs(to_z(x) @ to_z(y) - np.sum(x * y)) < 1e-15 * scale
-        assert np.max(np.abs(from_z(to_z(x)) - x)) < 1e-14
-        # square: every coordinate vector is some field's
-        z = rng.normal(size=N ** n)
-        assert np.max(np.abs(to_z(from_z(z)) - z)) < 1e-14
-        assert abs(to_z(x) @ z - np.sum(x * from_z(z))) \
-            < 1e-14 * np.linalg.norm(x) * np.linalg.norm(z)
-        assert np.max(np.abs(k2 * to_z(x) - to_z(g.laplacian(x)))) \
-            < 1e-14 * np.max(k2) * np.linalg.norm(x)
+        assert H(x).dtype == np.float64
+        assert np.max(np.abs(H(H(x)) - x)) < 1e-14
+        assert abs(np.sum(H(x) * y) - np.sum(x * H(y))) < 1e-14 * scale
+        assert abs(np.sum(H(x) * H(y)) - np.sum(x * y)) < 1e-14 * scale
+        assert np.max(np.abs(g.k2_full * H(x) - H(g.laplacian(x)))) \
+            < 1e-14 * np.max(g.k2_full) * np.linalg.norm(x)
 
     def test_minres_matches_the_nodal_solve(self):
         g = Torus(3, 16)
@@ -359,16 +379,16 @@ class TestFourierCoordinates:
                 + 0.2 * np.cos(2.0 * x[2]) + np.zeros(g.grid_shape))
         rhs = np.random.default_rng(3).normal(size=g.grid_shape)
         shift = float(np.mean(diag))
-        to_z, from_z, k2 = solver._fourier_map(g)
         results = []
         for A, M, b, back in (
                 (nodal_operator(g, g.k2, diag),
-                 nodal_operator(g, 1.0 / (g.k2 + shift)), rhs.ravel(),
+                 nodal_operator(g, 1.0 / (g.k2 + shift)), rhs,
                  lambda v: v.reshape(g.grid_shape)),
-                (*solver._fourier_newton_system(diag, shift, to_z, from_z,
-                                                k2), to_z(rhs), from_z)):
+                (*solver._fourier_newton_system(g, diag, shift),
+                 g.hartley(rhs), lambda z: g.hartley(z.reshape(rhs.shape)))):
             iterations = []
-            v, info = spla.minres(A, b, M=M, rtol=1e-12, maxiter=400,
+            v, info = spla.minres(A, b.ravel(), M=M, rtol=1e-12,
+                                  maxiter=400,
                                   callback=lambda xk: iterations.append(1))
             assert info == 0
             results.append((back(v), len(iterations)))
@@ -475,6 +495,27 @@ class TestSystem:
         assert all(row.passed for row in rows)
         coarse, fine = (iterations[size] for size in sorted(iterations))
         assert coarse == fine == [8] * 24
+
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_coercivity_effort_is_mesh_independent(self, N, monkeypatch):
+        # the depth-41 well of TestCoercivity: LOBPCG's eigenvalue history
+        # has the same 11 entries on both grids
+        lobpcg = solver.spla.lobpcg
+        lengths = []
+
+        def counting(*args, **kwargs):
+            value, vector, history = lobpcg(*args, retLambdaHistory=True,
+                                            **kwargs)
+            lengths.append(len(history))
+            return value, vector
+
+        monkeypatch.setattr(solver.spla, "lobpcg", counting)
+        g = Torus(3, N)
+        r2 = sum((xa - np.pi) ** 2 for xa in g.coords())
+        C = make_coeffs(g, h=1.0 - 41.0 * np.exp(-r2 / 0.09))
+        with pytest.raises(NonCoerciveError):
+            check_coercivity(C, "strict")
+        assert lengths == [11]
 
     def test_manufactured_fixed_point_immediate(self, torus16):
         g = torus16
