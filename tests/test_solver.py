@@ -367,8 +367,8 @@ class TestFourierCoordinates:
         scale = np.linalg.norm(x) * np.linalg.norm(y)
         assert H(x).dtype == np.float64
         assert np.max(np.abs(H(H(x)) - x)) < 1e-14
-        assert abs(np.sum(H(x) * y) - np.sum(x * H(y))) < 1e-14 * scale
-        assert abs(np.sum(H(x) * H(y)) - np.sum(x * y)) < 1e-14 * scale
+        assert abs(np.sum(H(x) * y) - np.sum(x * H(y))) < 1e-15 * scale
+        assert abs(np.sum(H(x) * H(y)) - np.sum(x * y)) < 1e-15 * scale
         assert np.max(np.abs(g.k2_full * H(x) - H(g.laplacian(x)))) \
             < 1e-14 * np.max(g.k2_full) * np.linalg.norm(x)
 
