@@ -9,6 +9,10 @@ with a(W) from ``SystemCoefficients.quadratic``, solved by a damped
 alternation: each pass inverts the momentum equation spectrally for the
 current u, computes a(W) once, then runs a Newton iteration on the scalar
 equation for that a(W) that keeps its iterates above a fixed floor of 1e-8.
+The next pass replaces a(W), so a pass that starts from the scalar residual
+r stops its Newton iteration at max(tol_residual, 0.1 r), an inexact
+Newton forcing term (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
+19 (1982)); the returned solution is still checked at tol_residual.
 ``SolveOptions`` is exactly a config's [solver] section; the start field
 is the separate ``guess`` argument.
 
@@ -84,10 +88,11 @@ class DegenerateDataError(PositivityLostError):
     """Only the zero function satisfies the scalar equation (f, a wiped out)."""
 
 
-# the floor Newton iterates stay above, and the Newton steps one scalar
-# solve may take
+# the floor Newton iterates stay above, the Newton steps one scalar solve
+# may take, and the forcing factor of each pass of solve_system
 _U_FLOOR = 1e-8
 _MAX_NEWTON = 40
+_FORCING = 0.1
 
 
 @dataclass
@@ -339,7 +344,12 @@ def _initial_field(C, guess, a):
 
 def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
     """Damped alternation between the momentum and scalar solves, started
-    from guess (see _initial_field)."""
+    from guess (see _initial_field).
+
+    Each pass stops its scalar Newton solve at max(opts.tol_residual,
+    0.1 r), where r is the scalar residual the pass starts from; the
+    solution is converged when both residuals are below opts.tol_residual.
+    """
     opts = opts or SolveOptions()
     g = C.geometry
     check_coercivity(C, opts.coercivity_check)
@@ -348,9 +358,12 @@ def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
     W, kdef = solve_momentum(u, C)
     a = C.quadratic(W)
 
-    inner = replace(opts, coercivity_check="off")
-    scal_res = mom_res = np.inf
+    scal_res = float(np.max(np.abs(_scalar_residual(u, a, C))))
+    mom_res = np.inf
     for it in range(1, opts.max_outer + 1):
+        inner = replace(opts, coercivity_check="off",
+                        tol_residual=max(opts.tol_residual,
+                                         _FORCING * scal_res))
         u_new = solve_scalar(a, C, inner, guess=u)
         # damping guards the strongly nonlinear u^{2*} feedback early on;
         # near the fixed point full steps restore fast linear convergence

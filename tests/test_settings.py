@@ -1,6 +1,7 @@
-"""Repository settings: the pytest settings in pyproject.toml, no unused
-imports in the package, its tests and its demos, no stale ``__all__``
-entry in the package, and the three quick demos run without a warning."""
+"""Repository settings: the pytest settings and dependency floors in
+pyproject.toml, no unused imports in the package, its tests and its demos,
+no stale ``__all__`` entry in the package, and the three quick demos run
+without a warning."""
 
 import ast
 import importlib
@@ -38,6 +39,21 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
          "-p", "no:cacheprovider", "test_two.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "1 failed, 1 passed" in run.stdout, run.stdout[-2000:]
+
+
+# the oldest releases with the calls the package makes: np.trapezoid
+# (SphereRadial.integrate) and minres(rtol=...) (solve_scalar)
+NEEDED_FLOORS = {"numpy": (2, 0), "scipy": (1, 12)}
+
+
+def test_dependency_floors_cover_the_calls_the_package_makes():
+    tomllib = pytest.importorskip("tomllib")    # Python >= 3.11
+    floors = {}
+    for dep in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]:
+        name, _, version = dep.partition(">=")
+        floors[name.strip()] = tuple(int(part) for part in version.split("."))
+    assert all(floors.get(name, ()) >= needed
+               for name, needed in NEEDED_FLOORS.items()), floors
 
 
 def unused_imports(path):
