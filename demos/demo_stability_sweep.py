@@ -4,8 +4,9 @@ The base data have B = 2 V(psi) - (2/3) tau^2 = 2 exactly (the quadratic
 potential compensates the tau^2 term).  Each schedule point perturbs tau,
 psi, pi and the potential with amplitudes tied to the right derivative
 order (tau through third derivatives, psi and V through second, pi in sup
-norm), then re-solves warm-started.  The solutions stay in a tight band
-and their successive distances shrink with the schedule.
+norm), then re-solves from the secant through the base solution and the
+last converged one.  The solutions stay in a tight band and their
+successive distances shrink with the schedule.
 """
 
 from pathlib import Path

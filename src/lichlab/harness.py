@@ -423,11 +423,14 @@ def run_sweep(cfg: SweepConfig):
     """Solve along the perturbation schedule and classify the trajectory.
 
     The base solve is the sweep's precondition: its SolverError propagates
-    and a non-converged base raises SolverError.  A perturbed row whose
-    solve raises SolverError is recorded with converged=False and NaN
-    measures, so the verdict is NonConvergent; the next row warm-starts
-    from the last solution.  Each regime is classified from the normalized
-    f = c B, which has the signs of B since c > 0.
+    and a non-converged base raises SolverError.  Each perturbed row starts
+    from the secant u0 + (eps / eps_w)(u_w - u0) through the base solution
+    u0 and the last converged solution u_w, at eps_w; the first row starts
+    from u0.  The schedule strictly decreases, so the start lies between u0
+    and u_w.  A row whose solve raises SolverError is recorded with
+    converged=False and NaN measures, so the verdict is NonConvergent, and
+    it moves neither u_w nor eps_w.  Each regime is classified from the
+    normalized f = c B, which has the signs of B since c > 0.
     """
     g = cfg.geometry
     C0 = normalize(cfg.base, h_override=cfg.h_override)
@@ -440,12 +443,15 @@ def run_sweep(cfg: SweepConfig):
             f"{base_sol.momentum_residual:.2e})")
 
     rows = []
-    warm = base_sol.u
+    u0 = base_sol.u.values
+    warm, eps_warm = base_sol.u, None
     for alpha, eps in zip(cfg.alphas, cfg.epsilons):
         data = _perturbed_data(cfg, eps)
         C = normalize(data, h_override=cfg.h_override)
+        guess = warm if eps_warm is None else ScalarField(
+            g, u0 + (eps / eps_warm) * (warm.values - u0))
         try:
-            sol = solve_system(C, cfg.solver, guess=warm)
+            sol = solve_system(C, cfg.solver, guess=guess)
         except SolverError:
             nan = float("nan")
             rows.append(SweepRow(
@@ -465,7 +471,7 @@ def run_sweep(cfg: SweepConfig):
             converged=sol.converged,
             regime=classify(C.f),
             diff_prev=_c1_distance(g, sol.u.values, warm.values)))
-        warm = sol.u
+        warm, eps_warm = sol.u, eps
 
     verdict = _classify_trajectory(cfg, rows)
     return SweepReport(rows=rows, verdict=verdict, base_regime=base_regime,

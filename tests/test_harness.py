@@ -12,8 +12,13 @@ from hypothesis import given, settings, strategies as st
 import lichlab.harness as harness
 from lichlab.cli import main as cli_main
 from lichlab.conformal import Potential, classify, coefficients
-from lichlab.geometry import OneFormField, Torus
-from lichlab.solver import NewtonDivergedError, SolverError
+from lichlab.geometry import OneFormField, ScalarField, Torus
+from lichlab.solver import (
+    _U_FLOOR,
+    NewtonDivergedError,
+    Solution,
+    SolverError,
+)
 from lichlab.harness import (
     SweepConfig,
     check_instability,
@@ -90,6 +95,15 @@ HYPOTHESES_BROKEN_INI = focusing_ini({
 def focusing_cfg(tmp_path):
     path = tmp_path / "focusing.ini"
     path.write_text(FOCUSING_INI)
+    return load_config(str(path))
+
+
+@pytest.fixture(scope="module")
+def coarse_focusing_cfg(tmp_path_factory):
+    """The focusing config on 8^3, loaded once per module."""
+    path = tmp_path_factory.mktemp("coarse") / "focusing.ini"
+    path.write_text(focusing_ini({"geometry": {"resolution": "8"},
+                                  "output": None}))
     return load_config(str(path))
 
 
@@ -184,8 +198,12 @@ class TestSweep:
                      "momentum_residual", "kernel_defect", "diff_prev"):
             assert np.isnan(getattr(failed, name))
         assert all(r.converged for r in report.rows[::2] + report.rows[3:])
-        # the row after the failure warm-starts from the last solution
-        assert guesses[3] is solutions[1].u
+        # the row after the failure starts from the secant through the base
+        # and the last converged row, alpha = 1: the failed row moves neither
+        base, last = solutions[0].u.values, solutions[1].u.values
+        expected = base + (2.0 ** -3 / 2.0 ** -1) * (last - base)
+        np.testing.assert_allclose(guesses[3].values, expected,
+                                   rtol=0.0, atol=1e-15)
         assert report.verdict == "NonConvergent"
         write_csv(str(tmp_path / "rows.csv"), report.rows)
         assert ",nan," in (tmp_path / "rows.csv").read_text()
@@ -198,8 +216,25 @@ class TestSweep:
         with pytest.raises(NewtonDivergedError):
             run_sweep(focusing_cfg)
 
+    def test_outer_passes_per_row_are_pinned(self, focusing_cfg,
+                                             monkeypatch):
+        # full steps from the secant start: no perturbed row takes more
+        # outer passes than the base solve
+        solve = harness.solve_system
+        passes = []
+
+        def recording(C, opts, guess=None):
+            sol = solve(C, opts, guess=guess)
+            passes.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(harness, "solve_system", recording)
+        assert run_sweep(focusing_cfg).verdict == "Stable-band"
+        assert passes == [7, 6, 6, 5, 5, 5, 4]
+        assert max(passes[1:]) <= passes[0]
+
     def test_unconverged_base_solve_raises_a_solver_error(self, tmp_path):
-        # one outer iteration leaves the base scalar residual near 0.35
+        # one outer iteration leaves the base scalar residual near 0.07
         path = tmp_path / "one_step.ini"
         path.write_text(focusing_ini({"solver": {"max_outer": "1"}}))
         with pytest.raises(SolverError,
@@ -242,6 +277,48 @@ class TestSweep:
         assert np.array_equal(focusing_cfg.base.tau.values, base_tau)
         assert np.any(data.tau.values != base_tau)
 
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=3, max_size=6,
+                    unique=True).map(sorted),
+           st.lists(st.booleans(), min_size=6, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_each_row_starts_from_the_secant(self, coarse_focusing_cfg,
+                                             alphas, fails, seed):
+        # stand-in solves return positive fields down to near the floor;
+        # a row marked in fails raises instead and moves no start
+        cfg = SweepConfig(**{**coarse_focusing_cfg.__dict__,
+                             "alphas": tuple(alphas)})
+        g = cfg.geometry
+        rng = np.random.default_rng(seed)
+        starts, returned = [], []
+
+        def stand_in(C, opts, guess=None):
+            if guess is not None:
+                starts.append(guess.values.copy())
+                if fails[len(starts) - 1]:
+                    raise NewtonDivergedError("forced failure")
+            u = 10.0 ** rng.uniform(-7.9, 0.5, g.grid_shape)
+            returned.append(u)
+            return Solution(u=ScalarField(g, u), W=OneFormField.zero(g),
+                            scalar_residual=0.0, momentum_residual=0.0,
+                            kernel_defect=0.0, iterations=1, converged=True)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "solve_system", stand_in)
+            report = run_sweep(cfg)
+        assert len(starts) == len(alphas) == len(report.rows)
+        base = returned.pop(0)
+        last, eps_last = base, None
+        for start, eps, failed in zip(starts, cfg.epsilons, fails):
+            expected = (base if eps_last is None
+                        else base + (eps / eps_last) * (last - base))
+            np.testing.assert_allclose(start, expected, rtol=1e-15, atol=0.0)
+            assert np.all(start >= np.minimum(base, last) * (1 - 1e-15))
+            assert np.all(start <= np.maximum(base, last) * (1 + 1e-15))
+            assert np.min(start) > _U_FLOOR
+            if not failed:
+                last, eps_last = returned.pop(0), eps
 
     def test_c1_distance_counts_sup_norm_once(self):
         g = load_config(FOCUSING_CONFIG).geometry
