@@ -136,13 +136,13 @@ def _lame_fd(X, pts, h, n):
 
     X maps (M, n) points to (M, n, ...) values; trailing axes ride along.
     It is called once per distinct stencil point: the centre, four points
-    on each axis and eight on the two diagonals e_a +- e_b of each
-    coordinate plane, so 1 + 4n^2 calls of M points each.  The mixed
-    derivatives are 4th-order five-point second differences along those
-    diagonals,
+    on each axis and four on the diagonal e_a + e_b of each coordinate
+    plane, so 1 + 4n + 2n(n-1) calls of M points each (25 at n = 3).
+    Every second derivative is the 4th-order five-point difference along
+    its step v (an axis or a diagonal, offsets -2..2 of step h v), which
+    gives d_v^2 X; the mixed ones follow from the diagonal as
 
-        d_a d_b X = (16 D(h) - D(2h)) / (48 h^2),
-        D(s) = X(+s,+s) + X(-s,-s) - X(+s,-s) - X(-s,+s)  in the (a, b) plane.
+        d_a d_b X = (d_{e_a+e_b}^2 X - d_a^2 X - d_b^2 X) / 2 .
 
     Every call gets a coordinate-major (F-contiguous) float array, whatever
     the layout of pts, so a reduction over the coordinate axis, such as
@@ -154,15 +154,17 @@ def _lame_fd(X, pts, h, n):
     pts = np.asfortranarray(pts, dtype=float)
     e = h * np.eye(n)
     center = X(pts)
+
+    def second(v):                                     # d_v^2 X
+        return sum(w * (center if s == 0 else X(pts + s * v))
+                   for s, w in zip(_OFFSETS, _D2)) / (12.0 * h * h)
+
     d2 = [[None] * n for _ in range(n)]                # d2[a][b] = d_a d_b X
     for a in range(n):
-        d2[a][a] = sum(w * (center if s == 0 else X(pts + s * e[a]))
-                       for s, w in zip(_OFFSETS, _D2)) / (12.0 * h * h)
+        d2[a][a] = second(e[a])
         for b in range(a):
-            D = [X(pts + s * (e[a] + e[b])) + X(pts - s * (e[a] + e[b]))
-                 - X(pts + s * (e[a] - e[b])) - X(pts - s * (e[a] - e[b]))
-                 for s in (1, 2)]
-            d2[a][b] = d2[b][a] = (16.0 * D[0] - D[1]) / (48.0 * h * h)
+            d2[a][b] = d2[b][a] = 0.5 * (second(e[a] + e[b])
+                                         - d2[a][a] - d2[b][b])
     lap = sum(d2[a][a] for a in range(n))
     grad_div = np.stack([sum(d2[i][a][:, a] for a in range(n))
                          for i in range(n)], axis=1)
@@ -301,8 +303,9 @@ def representation_residual(X, x, n, radius=1.0, level=0):
     X is a vectorized callable mapping (M, n) points to (M, n) one-form
     values, smooth and supported strictly inside the ball of the given
     radius about 0 (so the boundary terms of the representation formula
-    drop).  x has shape (n,), n >= 3, radius > 0 and level >= 0; anything
-    else raises ValueError.  The points X gets for lame(X) are
+    drop).  x is a finite point of shape (n,), n >= 3, radius is finite
+    and > 0 and level is an integer >= 0; anything else raises ValueError
+    before X is called.  The points X gets for lame(X) are
     coordinate-major (F-contiguous) float arrays, so a reduction over their
     last axis runs over contiguous columns; a callable whose reduction
     order follows the layout (np.einsum, matmul) may move the result at
@@ -311,21 +314,25 @@ def representation_residual(X, x, n, radius=1.0, level=0):
         max_i | X_i(x) - int G_i(x-y)_j lame(X)(y)^j dy |
 
     with lame(X) from the 4th-order central differences of ``_lame_fd``
-    (1 + 4n^2 calls of X per batch of nodes), contracted with G node by
-    node through ``fundamental_contraction``, and a singularity-patched
-    quadrature: a polar patch around x (whose measure cancels the kernel
-    singularity) weighted by 1 - smoothstep of the distance to x, and the
-    ball weighted by smoothstep.  ``level`` refines the pipeline: the FD
-    step shrinks by 2^{1/4} per level (so the leading O(h^4) error halves)
-    and the quadrature orders grow alongside.
+    (the centre, 4 points per axis and 4 on the diagonal e_a + e_b of each
+    plane: 1 + 4n + 2n(n-1) calls of X per batch of nodes, 25 at n = 3),
+    contracted with G node by node through ``fundamental_contraction``,
+    and a singularity-patched quadrature: a polar patch around x (whose
+    measure cancels the kernel singularity) weighted by 1 - smoothstep of
+    the distance to x, and the ball weighted by smoothstep.  ``level``
+    refines the pipeline: the FD step shrinks by 2^{1/4} per level (so the
+    leading O(h^4) error halves) and the quadrature orders grow alongside.
     """
+    _kelvin(n)                                        # raises for n < 3
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x has shape {x.shape}, need ({n},)")
-    if not radius > 0.0:
-        raise ValueError(f"need a positive radius, got {radius}")
-    if not level >= 0:
-        raise ValueError(f"need level >= 0, got {level}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"need a finite x, got {x}")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"need a finite positive radius, got {radius}")
+    if not (isinstance(level, (int, np.integer)) and level >= 0):
+        raise ValueError(f"need an integer level >= 0, got {level!r}")
     h = 0.02 * radius * 2.0 ** (-level / 4.0)
     npolar = 24 + 8 * level
     nrad = 20 + 4 * level

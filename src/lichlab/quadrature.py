@@ -33,6 +33,10 @@ def unit_sphere_rule(n, polar_order, azimuth_order):
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    for name, order in (("polar_order", polar_order),
+                        ("azimuth_order", azimuth_order)):
+        if order < 1:
+            raise ValueError(f"need {name} >= 1, got {order}")
     phis = 2.0 * pi * np.arange(azimuth_order) / azimuth_order
     base = np.stack([np.cos(phis), np.sin(phis)], axis=-1)   # S^1 nodes
     dirs = base
@@ -53,6 +57,8 @@ def unit_sphere_rule(n, polar_order, azimuth_order):
 
 def gauss_panels(edges, order):
     """Composite Gauss-Legendre nodes/weights over consecutive panels."""
+    if order < 1:
+        raise ValueError(f"need order >= 1, got {order}")
     xs, ws = roots_legendre(order)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):

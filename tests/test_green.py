@@ -71,8 +71,9 @@ class TestFundamental:
 
 
 class TestLameStencil:
-    # 1 + 4n^2: the centre, 4 points per axis, 8 per plane's diagonals
-    @pytest.mark.parametrize("n, calls", [(3, 37), (4, 65)])
+    # 1 + 4n + 2n(n-1): the centre, 4 points per axis, 4 on the diagonal
+    # e_a + e_b of each plane
+    @pytest.mark.parametrize("n, calls", [(3, 25), (4, 41)])
     def test_each_stencil_point_evaluated_once(self, n, calls):
         h = 0.01
         pts = np.random.default_rng(7).uniform(-0.5, 0.5, size=(5, n))
@@ -86,7 +87,10 @@ class TestLameStencil:
 
         _lame_fd(X, pts, h, n)
         assert len(offsets) == calls
-        assert len(set(offsets)) == calls
+        e = np.eye(n, dtype=int)
+        steps = list(e) + [e[a] + e[b] for a in range(n) for b in range(a)]
+        expected = {tuple(s * v) for v in steps for s in (-2, -1, 1, 2)}
+        assert set(offsets) == expected | {(0,) * n}
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([3, 4]), st.integers(1, 40),
@@ -99,7 +103,7 @@ class TestLameStencil:
             assert np.array_equal(c_order, f_order)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))
+    @given(st.sampled_from([3, 4, 5]), st.integers(0, 2 ** 32 - 1))
     def test_quintic_one_forms_match_closed_form(self, n, seed):
         # X_i = c_i + B_ia x_a + Q_iab x_a x_b + ... + S_iabcde x_a..x_e with
         # each tensor symmetric in its lower indices.  A 4th-order stencil is
@@ -116,12 +120,14 @@ class TestLameStencil:
         Q, T, P, S = (symmetric(k) for k in (2, 3, 4, 5))
 
         def X(p):
+            # optimize: contract one index at a time, not all n^6 at once
             return (c + np.einsum("ia,Ma->Mi", B, p)
                     + np.einsum("iab,Ma,Mb->Mi", Q, p, p)
                     + np.einsum("iabc,Ma,Mb,Mc->Mi", T, p, p, p)
-                    + np.einsum("iabcd,Ma,Mb,Mc,Md->Mi", P, p, p, p, p)
+                    + np.einsum("iabcd,Ma,Mb,Mc,Md->Mi", P, p, p, p, p,
+                                optimize=True)
                     + np.einsum("iabcde,Ma,Mb,Mc,Md,Me->Mi",
-                                S, p, p, p, p, p))
+                                S, p, p, p, p, p, optimize=True))
 
         pts = rng.uniform(-1.0, 1.0, size=(20, n))
         hess = (2.0 * Q + 6.0 * np.einsum("iabc,Mc->Miab", T, pts)
@@ -213,23 +219,33 @@ class TestKillingBasis:
 
 
 class TestRepresentation:
-    def test_zero_form(self):
+    @pytest.mark.parametrize("level", [0, True])     # a bool is an int
+    def test_zero_form(self, level):
         def zero(pts):
             pts = np.atleast_2d(pts)
             return np.zeros((pts.shape[0], 3))
 
-        res = representation_residual(zero, np.zeros(3), 3, radius=1.0)
+        res = representation_residual(zero, np.zeros(3), 3, radius=1.0,
+                                      level=level)
         assert res == 0.0
 
-    # a probe on a ball of negative radius would pass by construction (0.0)
+    # a probe on a ball of negative radius would pass by construction (0.0);
+    # one at a non-finite point or radius returns nan or |X(x)|
     @pytest.mark.parametrize("x, kwargs, match", [
         (np.zeros(3), {"radius": -1.0}, "radius"),
+        (np.zeros(3), {"radius": np.inf}, "radius"),
         (np.zeros(3), {"level": -3}, "level"),
+        (np.zeros(3), {"level": 0.5}, "level"),
         (np.zeros(4), {}, "x has shape"),
+        (np.array([0.0, 0.0, np.nan]), {}, "finite x"),
+        (np.zeros(2), {"n": 2}, "n >= 3"),
     ])
     def test_bad_input_rejected(self, x, kwargs, match):
+        def X(p):
+            raise AssertionError("X called before the input was checked")
+
         with pytest.raises(ValueError, match=match):
-            representation_residual(poly_bump, x, 3, **kwargs)
+            representation_residual(X, x, **({"n": 3} | kwargs))
 
     def test_rotation_equivariance(self):
         theta_ang = 0.7

@@ -3,7 +3,23 @@ from math import pi
 import numpy as np
 import pytest
 
-from lichlab.quadrature import ball_rule, singular_shells, unit_sphere_rule
+from lichlab.quadrature import (
+    ball_rule,
+    gauss_panels,
+    singular_shells,
+    unit_sphere_rule,
+)
+
+
+class TestOrders:
+    @pytest.mark.parametrize("rule, match", [
+        (lambda: unit_sphere_rule(3, 4, 0), "azimuth_order"),
+        (lambda: unit_sphere_rule(3, 0, 8), "polar_order"),
+        (lambda: gauss_panels(np.linspace(0.0, 1.0, 3), 0), "order"),
+    ], ids=["azimuth", "polar", "gauss"])
+    def test_order_below_one_rejected(self, rule, match):
+        with pytest.raises(ValueError, match=match):
+            rule()
 
 
 class TestBallRule:
