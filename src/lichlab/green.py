@@ -259,8 +259,8 @@ def killing_basis(n, radius, rule=None):
     ``quadrature.ball_rule``; by default 4 radial panels of 24 Gauss points
     times the 24 x 48 sphere rule.
     """
-    if n < 3 or radius <= 0.0:
-        raise ValueError("need n >= 3 and a positive radius")
+    if n < 3 or not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError("need n >= 3 and a finite positive radius")
     if rule is None:
         rule = ball_rule(n, radius, 4, 24, unit_sphere_rule(n, 24, 48))
     points, weights = rule

@@ -767,9 +767,9 @@ def check_asymptotics(factors):
 
 
 def check_manufactured_solve(resolution):
-    """Coupled solve recovers a manufactured (u, W) in at most 15 outer steps.
+    """Coupled solve recovers a manufactured (u, W) in at most 15 Newton steps.
 
-    A solve that does not converge counts infinitely many iterations.
+    A solve that does not converge counts infinitely many steps.
     """
     from .solver import manufactured_forcing
 

@@ -59,6 +59,8 @@ def gauss_panels(edges, order):
     """Composite Gauss-Legendre nodes/weights over consecutive panels."""
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
+    if len(edges) < 2:
+        raise ValueError(f"need at least two edges, got {len(edges)}")
     xs, ws = roots_legendre(order)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -79,6 +81,8 @@ def ball_rule(n, radius, panels, radial_order, rule, center=0.0):
     Returns (points (M, n), weights (M,)) on the ball of given radius
     about center, weights including the polar Jacobian r^{n-1}.
     """
+    if panels < 1:
+        raise ValueError(f"need panels >= 1, got {panels}")
     dirs, angw = rule
     rn, rw = gauss_panels(np.linspace(0.0, radius, panels + 1), radial_order)
     pts = center + rn[:, None, None] * dirs[None, :, :]

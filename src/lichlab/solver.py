@@ -5,14 +5,12 @@ The system is
     lap u + h u = f u^{2*-1} + a(W) u^{-2*-1},  a(W) = b + gamma |U + L W|^2
     lame W      = u^{2*} X + Y   (modulo constant forms, projected + reported)
 
-with a(W) from ``SystemCoefficients.quadratic``, solved by a damped
-alternation: each pass inverts the momentum equation spectrally for the
-current u, computes a(W) once, then runs a Newton iteration on the scalar
-equation for that a(W) that keeps its iterates above a fixed floor of 1e-8.
-The next pass replaces a(W), so a pass that starts from the scalar residual
-r stops its Newton iteration at max(tol_residual, 0.1 r), an inexact
-Newton forcing term (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
-19 (1982)); the returned solution is still checked at tol_residual.
+with a(W) from ``SystemCoefficients.quadratic``.  The momentum solve is
+exact and spectral, so the system is one equation F(u) = scalar
+residual(u, W(u)), solved by a Newton iteration on the scalar block that
+keeps its iterates above a fixed floor of 1e-8 and recomputes W(u) and
+a(W(u)) once at each line-search trial (Knoll and Keyes, J. Comput. Phys.
+193 (2004)); ``solve_scalar`` runs the same loop for a fixed array a.
 ``SolveOptions`` is exactly a config's [solver] section; the start field
 is the separate ``guess`` argument.
 
@@ -88,18 +86,16 @@ class DegenerateDataError(PositivityLostError):
     """Only the zero function satisfies the scalar equation (f, a wiped out)."""
 
 
-# the floor Newton iterates stay above, the Newton steps one scalar solve
-# may take, and the forcing factor of each pass of solve_system
+# the floor Newton iterates stay above, and the steps of a scalar solve
 _U_FLOOR = 1e-8
 _MAX_NEWTON = 40
-_FORCING = 0.1
 
 
 @dataclass
 class SolveOptions:
-    max_outer: int = 60
+    max_outer: int = 60                 # Newton steps of a coupled solve
     tol_residual: float = 1e-10
-    damping: float = 0.7
+    damping: float = 0.7                # first trial step while res > 1e-6
     coercivity_check: str = "strict"    # "strict" | "weak" | "off"
 
     def __post_init__(self):
@@ -220,22 +216,19 @@ def solve_momentum(u, C):
     return lame_invert(OneFormField(C.geometry, _momentum_rhs(u, C)))
 
 
-def solve_scalar(a, C, opts: SolveOptions, guess=None):
-    """Positivity-preserving Newton solve of the scalar equation for the
-    array a = C.quadratic(W), started from guess (see _initial_field)."""
+def _newton(C, evaluate, u, tol, max_steps, damping):
+    """Newton on the residual of evaluate(u) = (a, W, kernel_defect, res)
+    from the array u, until it is below tol or after max_steps steps; each
+    line search starts from damping while it is above 1e-6 and evaluates
+    each trial once.  Returns (u, W, kernel_defect, |res|, steps), or raises
+    DegenerateDataError when degenerate data leave u at the floor."""
     g = C.geometry
-    n = g.dimension
-    p = critical_exponent(n)
-    check_coercivity(C, opts.coercivity_check)
-
+    p = critical_exponent(g.dimension)
+    a, W, kdef, res = evaluate(u)
+    res_norm = float(np.max(np.abs(res)))
     degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
-    u = _initial_field(C, guess, a)
-
-    res = _scalar_residual(ScalarField(g, u), a, C)
-    for it in range(_MAX_NEWTON):
-        res_norm = np.max(np.abs(res))
-        if res_norm < opts.tol_residual:
-            return ScalarField(g, u)
+    steps = 0
+    while res_norm >= tol and steps < max_steps:
         diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
                 + (p + 1.0) * a * u ** (-p - 2.0))
         op, M = _fourier_newton_system(g, diag,
@@ -247,19 +240,21 @@ def solve_scalar(a, C, opts: SolveOptions, guess=None):
                 f"MINRES failed on the Newton system (info {info}) at "
                 f"residual {res_norm:.3e}")
         delta = g.hartley(z.reshape(g.grid_shape))
+        del a, W, res, diag, op, M, z     # lowers the trials' peak memory
 
-        t = 1.0
+        t = damping if res_norm > 1e-6 else 1.0
         for _ in range(60):
             trial = u + t * delta
             if np.min(trial) > _U_FLOOR:
-                trial_res = _scalar_residual(ScalarField(g, trial), a, C)
-                if np.max(np.abs(trial_res)) <= res_norm * (1.0 + 1e-8):
+                a, W, kdef, res = evaluate(trial)
+                trial_norm = float(np.max(np.abs(res)))
+                if trial_norm <= res_norm * (1.0 + 1e-8):
                     break
                 if t < 1e-6:
                     error = DegenerateDataError if degenerate else NewtonDivergedError
                     raise error(
                         "line search found no step that reduces the residual "
-                        f"{res_norm:.3e} (Newton step {it})")
+                        f"{res_norm:.3e} (Newton step {steps})")
             t *= 0.5
         else:
             if degenerate:
@@ -269,14 +264,26 @@ def solve_scalar(a, C, opts: SolveOptions, guess=None):
             raise PositivityLostError(
                 "line search exhausted without keeping the iterate above "
                 "the floor")
-        u = trial
-        res = trial_res
-
-    res_norm = float(np.max(np.abs(res)))
-    if degenerate and np.min(u) < 10.0 * _U_FLOOR:
+        u, res_norm = trial, trial_norm
+        steps += 1
+    if res_norm >= tol and degenerate and np.min(u) < 10.0 * _U_FLOOR:
         raise DegenerateDataError(
             "scalar data admit only the zero solution; residual stationary "
             f"at the floor (residual {res_norm:.3e})")
+    return u, W, kdef, res_norm, steps
+
+
+def solve_scalar(a, C, opts: SolveOptions, guess=None):
+    """Positivity-preserving Newton solve of the scalar equation for the
+    array a = C.quadratic(W), started from guess (see _initial_field), in
+    at most 40 steps, each with a full first trial step."""
+    g = C.geometry
+    check_coercivity(C, opts.coercivity_check)
+    u, _, _, res_norm, _ = _newton(
+        C, lambda v: (a, None, 0.0, _scalar_residual(ScalarField(g, v), a, C)),
+        _initial_field(C, guess, a), opts.tol_residual, _MAX_NEWTON, 1.0)
+    if res_norm < opts.tol_residual:
+        return ScalarField(g, u)
     raise NewtonDivergedError(
         f"Newton did not reach {opts.tol_residual:.1e} within "
         f"{_MAX_NEWTON} iterations (residual {res_norm:.3e})")
@@ -343,43 +350,30 @@ def _initial_field(C, guess, a):
 
 
 def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
-    """Damped alternation between the momentum and scalar solves, started
-    from guess (see _initial_field).
-
-    Each pass stops its scalar Newton solve at max(opts.tol_residual,
-    0.1 r), where r is the scalar residual the pass starts from; the
-    solution is converged when both residuals are below opts.tol_residual.
+    """Newton solve of F(u) = scalar residual(u, W(u)), W(u) the spectral
+    momentum solve, from guess (see _initial_field): at most opts.max_outer
+    steps, each line search starting from opts.damping while the residual
+    is above 1e-6.  Converged when both residuals are below tol_residual.
     """
     opts = opts or SolveOptions()
     g = C.geometry
     check_coercivity(C, opts.coercivity_check)
 
-    u = ScalarField(g, _initial_field(C, guess, C.quadratic()))
-    W, kdef = solve_momentum(u, C)
-    a = C.quadratic(W)
-
-    scal_res = float(np.max(np.abs(_scalar_residual(u, a, C))))
-    mom_res = np.inf
-    for it in range(1, opts.max_outer + 1):
-        inner = replace(opts, coercivity_check="off",
-                        tol_residual=max(opts.tol_residual,
-                                         _FORCING * scal_res))
-        u_new = solve_scalar(a, C, inner, guess=u)
-        # damping guards the strongly nonlinear u^{2*} feedback early on;
-        # near the fixed point full steps restore fast linear convergence
-        damp = opts.damping if max(scal_res, mom_res) > 1e-6 else 1.0
-        u = ScalarField(g, (1.0 - damp) * u.values + damp * u_new.values)
+    def evaluate(values):
+        u = ScalarField(g, values)
         W, kdef = solve_momentum(u, C)
         a = C.quadratic(W)
-        scal_res = float(np.max(np.abs(_scalar_residual(u, a, C))))
-        mom_res = float(np.max(np.abs(momentum_residual_field(u, W, C))))
-        converged = (scal_res < opts.tol_residual
-                     and mom_res < opts.tol_residual)
-        if converged:
-            break
+        return a, W, kdef, _scalar_residual(u, a, C)
+
+    u, W, kdef, scal_res, steps = _newton(
+        C, evaluate, _initial_field(C, guess, C.quadratic()),
+        opts.tol_residual, opts.max_outer, opts.damping)
+    u = ScalarField(g, u)
+    mom_res = float(np.max(np.abs(momentum_residual_field(u, W, C))))
     return Solution(u=u, W=W, scalar_residual=scal_res,
                     momentum_residual=mom_res, kernel_defect=kdef,
-                    iterations=it, converged=converged)
+                    iterations=steps,
+                    converged=max(scal_res, mom_res) < opts.tol_residual)
 
 
 def manufactured_forcing(u_star, W_star, C):

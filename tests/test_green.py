@@ -213,6 +213,12 @@ class TestKillingBasis:
         X0 = X - project_killing(X, basis)
         assert np.max(np.abs(project_killing(X0, basis))) < 1e-10
 
+    # a non-finite radius would give a basis of NaN coefficients
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite positive radius"):
+            killing_basis(3, radius)
+
     def test_grid_mismatch_rejected(self, basis):
         with pytest.raises(ValueError):
             project_killing(np.zeros((7, 3)), basis)

@@ -216,25 +216,25 @@ class TestSweep:
         with pytest.raises(NewtonDivergedError):
             run_sweep(focusing_cfg)
 
-    def test_outer_passes_per_row_are_pinned(self, focusing_cfg,
+    def test_newton_steps_per_row_are_pinned(self, focusing_cfg,
                                              monkeypatch):
         # full steps from the secant start: no perturbed row takes more
-        # outer passes than the base solve
+        # Newton steps than the base solve
         solve = harness.solve_system
-        passes = []
+        steps = []
 
         def recording(C, opts, guess=None):
             sol = solve(C, opts, guess=guess)
-            passes.append(sol.iterations)
+            steps.append(sol.iterations)
             return sol
 
         monkeypatch.setattr(harness, "solve_system", recording)
         assert run_sweep(focusing_cfg).verdict == "Stable-band"
-        assert passes == [7, 6, 6, 5, 5, 5, 4]
-        assert max(passes[1:]) <= passes[0]
+        assert steps == [8, 7, 6, 5, 5, 5, 4]
+        assert max(steps[1:]) <= steps[0]
 
     def test_unconverged_base_solve_raises_a_solver_error(self, tmp_path):
-        # one outer iteration leaves the base scalar residual near 0.07
+        # one Newton step leaves the base scalar residual near 0.4
         path = tmp_path / "one_step.ini"
         path.write_text(focusing_ini({"solver": {"max_outer": "1"}}))
         with pytest.raises(SolverError,

@@ -21,6 +21,17 @@ class TestOrders:
         with pytest.raises(ValueError, match=match):
             rule()
 
+    # else numpy's "need at least one array to concatenate" names neither
+    @pytest.mark.parametrize("rule, match", [
+        (lambda: gauss_panels([0.0], 4), "edges"),
+        (lambda: gauss_panels([], 4), "edges"),
+        (lambda: ball_rule(3, 1.0, 0, 4, unit_sphere_rule(3, 4, 8)),
+         "panels"),
+    ], ids=["one-edge", "no-edge", "no-panel"])
+    def test_empty_panels_rejected(self, rule, match):
+        with pytest.raises(ValueError, match=match):
+            rule()
+
 
 class TestBallRule:
     @pytest.mark.parametrize("n, volume", [(3, 4.0 * pi / 3.0),

@@ -1,10 +1,11 @@
 """Repository settings: the pytest settings and dependency floors in
 pyproject.toml, no unused imports in the package, its tests and its demos,
-no stale ``__all__`` entry in the package, and the three quick demos run
-without a warning."""
+no stale ``__all__`` entry in the package, every function the benchmark
+tracer wraps still in the package, and the three quick demos run without a
+warning."""
 
 import ast
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -97,6 +98,22 @@ def test_every_name_in_all_resolves():
         mod = importlib.import_module(name)
         stale += [f"{name}.{entry}" for entry in getattr(mod, "__all__", ())
                   if not hasattr(mod, entry)]
+    assert not stale, stale
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer wraps these by name; one that is gone would fail
+    # only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.PACKAGE_TARGETS) > 5
+    stale = [f"lichlab.{module}.{name}"
+             for module, names in tracing.PACKAGE_TARGETS.items()
+             for name in names
+             if not hasattr(importlib.import_module(f"lichlab.{module}"),
+                            name)]
     assert not stale, stale
 
 

@@ -61,6 +61,18 @@ def make_coeffs(g, h=1.0, f=0.25, b=0.125, gamma=1.0, X=None, Y=None, U=None):
         gamma=gamma)
 
 
+def criterion9_coeffs(g):
+    """The normalized data of the constraint round trip (criterion 9)."""
+    return normalize(PhysicsData(
+        psi=ScalarField.constant(g, 1.0),
+        pi=scalar_from_recipe(
+            g, "lorentz(amp=0.02, c=1.05, axis=1, offset=1.0)"),
+        tau=scalar_from_recipe(
+            g, "lorentz(amp=0.015, c=1.05, axis=0, offset=1.0)"),
+        sigma=tensor_from_recipe(g, "constant_tensor(xy=0.1)"),
+        potential=Potential.constant(0.0)))
+
+
 @pytest.fixture(scope="module")
 def torus16():
     return Torus(3, 16)
@@ -205,6 +217,9 @@ class TestScalar:
         C = make_coeffs(torus16, h=1.0, f=0.0, b=0.0)
         with pytest.raises(DegenerateDataError):
             solve_scalar(C.quadratic(), C, SolveOptions())
+        # the coupled solve runs its steps down to the floor and says why
+        with pytest.raises(DegenerateDataError, match="stationary"):
+            solve_system(C)
 
     def test_krylov_failure_raises(self, torus16, monkeypatch):
         # a usable step reported with a nonzero info is still a failure
@@ -419,7 +434,7 @@ class TestFourierCoordinates:
 
 class TestContract:
     """Every solve raises a SolverError, reports converged=False after
-    max_outer passes, or returns a positive solution whose residuals are
+    max_outer Newton steps, or returns a positive solution whose residuals are
     below the tolerance."""
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -469,41 +484,42 @@ class TestSystem:
         assert np.max(np.abs(sol.W.values)) < 1e-14
         assert np.max(np.abs(sol.u.values - u_direct.values)) < 1e-12
 
-    def test_inner_solve_stops_at_the_forcing_tolerance(self, torus16,
-                                                         monkeypatch):
-        # criterion-9 data: each pass stops its scalar solve at a tenth of
-        # the residual it starts from, never below the caller's tolerance,
-        # and the returned solution is still checked at that tolerance
-        tol = 1e-11
-        passes = []
-        inner = solver.solve_scalar
+    def test_each_trial_point_is_evaluated_once(self, torus16,
+                                                monkeypatch):
+        # criterion-9 data: every scalar residual is taken at a freshly
+        # solved W(u), once at the start and once per line-search trial;
+        # each of the 13 steps accepts its first trial
+        counts = {"solve_momentum": 0, "_scalar_residual": 0}
 
-        def recording(a, C, opts, guess=None):
-            start = np.max(np.abs(solver._scalar_residual(guess, a, C)))
-            passes.append((opts.tol_residual, start))
-            return inner(a, C, opts, guess=guess)
+        def counting(name):
+            inner = getattr(solver, name)
 
-        monkeypatch.setattr(solver, "solve_scalar", recording)
-        C = normalize(PhysicsData(
-            psi=ScalarField.constant(torus16, 1.0),
-            pi=scalar_from_recipe(
-                torus16, "lorentz(amp=0.02, c=1.05, axis=1, offset=1.0)"),
-            tau=scalar_from_recipe(
-                torus16, "lorentz(amp=0.015, c=1.05, axis=0, offset=1.0)"),
-            sigma=tensor_from_recipe(torus16, "constant_tensor(xy=0.1)"),
-            potential=Potential.constant(0.0)))
-        sol = solve_system(C, SolveOptions(coercivity_check="weak",
-                                           tol_residual=tol, max_outer=100))
-        assert sol.converged and sol.scalar_residual < tol
-        assert passes
-        assert all(used == max(tol, 0.1 * start) for used, start in passes)
-        assert min(used for used, _ in passes) >= tol
-        assert max(used for used, _ in passes) > tol
+            def count(*args):
+                counts[name] += 1
+                return inner(*args)
+            return count
+
+        for name in counts:
+            monkeypatch.setattr(solver, name, counting(name))
+        sol = solve_system(criterion9_coeffs(torus16), SolveOptions(
+            coercivity_check="weak", tol_residual=1e-11, max_outer=100))
+        assert sol.converged and sol.iterations == 13
+        assert counts == {"solve_momentum": 14, "_scalar_residual": 14}
+
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("damping, steps", [(0.7, 13), (1.0, 5)])
+    def test_damping_sets_the_first_trial_step(self, N, damping, steps):
+        # criterion-9 data on both grids: full first trials converge in 5
+        # Newton steps, the default 0.7 in 13
+        sol = solve_system(criterion9_coeffs(Torus(3, N)), SolveOptions(
+            coercivity_check="weak", tol_residual=1e-11, max_outer=100,
+            damping=damping))
+        assert sol.converged and sol.iterations == steps
 
     def test_newton_and_krylov_effort_is_mesh_independent(self,
                                                           monkeypatch):
-        # criterion-9 data at 16^3 and 32^3: the same Newton steps, one per
-        # outer pass, each with the same MINRES iterations on both grids
+        # criterion-9 data at 16^3 and 32^3: the same Newton steps, one
+        # MINRES call each, with the same iterations on both grids
         minres = solver.spla.minres
         iterations = {}
 
