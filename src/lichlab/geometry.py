@@ -16,21 +16,24 @@ discretisation of one calculus:
 Each geometry has the array methods ``grad``, ``div``, ``laplacian``,
 ``killing``, ``lame`` and ``one_form_shape``, batched over leading
 component axes: ``grad(W)[i, j] = d_i W_j`` and ``div(T)[i] = d_j T[j, i]``.
-The box geometries (torus and chart) also have ``div_sym``, the divergence
-of a packed symmetric tensor.
+The box geometries (torus and chart) share one body: ``dimension``,
+``resolution`` and their checks, the coordinate grid, and ``div_sym``, the
+divergence of a packed symmetric tensor; the chart adds ``extent``.
 The module functions (``gradient``, ``divergence``, ``lame``, ...) are the
 API: each calls one method of its field's geometry.
 
-Fields are stored nodally.  Symmetric 2-tensors are packed: the values array
+Fields are stored nodally.  The three kinds (``ScalarField``,
+``OneFormField``, ``SymTensorField``) share one body: finite values of the
+kind's shape, ``copy()`` of the same kind, and ``constant(geometry, value)``
+and ``zero(geometry)``.  Symmetric 2-tensors are packed: the values array
 carries the n(n+1)/2 independent components in row-major upper-triangular
-order.  Constant fields (``ScalarField.constant``, ``OneFormField.zero``,
-``SymTensorField.constant`` and ``.zero``) store their value once:
-``values`` is a read-only zero-stride view (``np.broadcast_to``) with the
-full field shape, so writing into it raises ``ValueError``; ``copy()``
-gives a full, writable array.  On the radial sphere grid, one-forms store
-the radial component w(r) and symmetric tensors store orthonormal-frame
-components (e_r, e_theta, e_phi), which are functions of r alone for the
-radial fields used here.
+order.  A constant field stores its value, a number or one value per
+component, once: ``values`` is a read-only zero-stride view
+(``np.broadcast_to``) with the full field shape, so writing into it raises
+``ValueError``; ``copy()`` gives a full, writable array.  On the radial
+sphere grid, one-forms store the radial component w(r) and symmetric
+tensors store orthonormal-frame components (e_r, e_theta, e_phi), which are
+functions of r alone for the radial fields used here.
 
 The Laplacian follows the geometer's sign convention (minus divergence of
 the gradient, a nonnegative operator), and the conformal Killing derivative
@@ -182,8 +185,18 @@ def _unpack_sym(packed, n):
 # geometries
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class _Box:
     """Uniform grid of ``resolution`` nodes per axis in ``dimension`` axes."""
+
+    dimension: int
+    resolution: int
+
+    def __post_init__(self):
+        if self.dimension < 3:
+            raise ValueError("dimension must be >= 3")
+        if self.resolution < 8:
+            raise ValueError("resolution must be >= 8 per axis")
 
     @property
     def grid_shape(self):
@@ -195,13 +208,8 @@ class _Box:
 
     def coords(self):
         """n broadcastable coordinate arrays."""
-        x = self.axis_coords
-        out = []
-        for a in range(self.dimension):
-            shape = [1] * self.dimension
-            shape[a] = self.resolution
-            out.append(x.reshape(shape))
-        return out
+        return np.meshgrid(*[self.axis_coords] * self.dimension,
+                           indexing="ij", sparse=True)
 
     def div_sym(self, packed):
         """div(T)[i] = d_j T_ji of a packed symmetric tensor, row by row."""
@@ -214,18 +222,8 @@ class _Box:
 _PERIOD = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
 class Torus(_Box):
     """Flat n-torus [0, 2 pi)^n with uniform grid, periodic in every axis."""
-
-    dimension: int
-    resolution: int
-
-    def __post_init__(self):
-        if self.dimension < 3:
-            raise ValueError("dimension must be >= 3")
-        if self.resolution < 8:
-            raise ValueError("resolution must be >= 8 per axis")
 
     @property
     def spacing(self):
@@ -425,15 +423,10 @@ class SphereRadial:
 class Chart(_Box):
     """Non-periodic uniform Cartesian grid on [-extent, extent]^n."""
 
-    dimension: int
-    resolution: int
     extent: float = 1.0
 
     def __post_init__(self):
-        if self.dimension < 3:
-            raise ValueError("dimension must be >= 3")
-        if self.resolution < 8:
-            raise ValueError("resolution must be >= 8 per axis")
+        super().__post_init__()
         if not 0.0 < self.extent < np.inf:
             raise ValueError("extent must be positive and finite")
 
@@ -485,88 +478,70 @@ class Chart(_Box):
 # fields
 # ---------------------------------------------------------------------------
 
-def _as_finite_array(values):
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
-    return arr
-
-
 @dataclass
-class ScalarField:
+class _Field:
+    """Nodal ``values`` on ``geometry``, finite and of the kind's ``_shape``."""
+
     geometry: object
     values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.values = _as_finite_array(self.values)
-        if self.values.shape != self.geometry.grid_shape:
-            raise ValueError(
-                f"scalar values shape {self.values.shape} does not match "
-                f"grid {self.geometry.grid_shape}")
+    def _check(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("field values must be finite")
+        expected = self._shape(self.geometry)
+        if self.values.shape != expected:
+            raise ValueError(f"{type(self).__name__} values shape "
+                             f"{self.values.shape}, expected {expected}")
 
     @classmethod
     def constant(cls, geometry, value):
-        """The value stored once, as a read-only view of the grid's shape."""
-        return cls(geometry, np.broadcast_to(float(value), geometry.grid_shape))
-
-    def copy(self):
-        return ScalarField(self.geometry, self.values.copy())
-
-
-@dataclass
-class OneFormField:
-    geometry: object
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = _as_finite_array(self.values)
-        expected = self.geometry.one_form_shape
-        if self.values.shape != expected:
-            raise ValueError(
-                f"one-form values shape {self.values.shape}, expected {expected}")
+        """A number, or one value per component, stored once as a read-only
+        view of the kind's shape."""
+        value = np.asarray(value, dtype=float)
+        value = value.reshape(value.shape + (1,) * len(geometry.grid_shape))
+        return cls(geometry, np.broadcast_to(value, cls._shape(geometry)))
 
     @classmethod
     def zero(cls, geometry):
-        """Zero stored once, as a read-only view of the one-form shape."""
-        return cls(geometry, np.broadcast_to(0.0, geometry.one_form_shape))
+        return cls.constant(geometry, 0.0)
 
     def copy(self):
-        return OneFormField(self.geometry, self.values.copy())
+        return type(self)(self.geometry, self.values.copy())
 
 
 @dataclass
-class SymTensorField:
-    geometry: object
-    values: np.ndarray = field(repr=False)
+class ScalarField(_Field):
+    @staticmethod
+    def _shape(geometry):
+        return geometry.grid_shape
 
     def __post_init__(self):
-        self.values = _as_finite_array(self.values)
-        n = self.geometry.dimension
-        m = n * (n + 1) // 2
-        expected = (m,) + self.geometry.grid_shape
-        if self.values.shape != expected:
-            raise ValueError(
-                f"tensor values shape {self.values.shape}, expected {expected}")
+        self._check()
 
-    @classmethod
-    def constant(cls, geometry, components):
-        """Packed constant components stored once, as a read-only view."""
-        comps = np.asarray(components, dtype=float)
-        grid = geometry.grid_shape
-        return cls(geometry, np.broadcast_to(
-            comps.reshape(comps.shape + (1,) * len(grid)), comps.shape + grid))
 
-    @classmethod
-    def zero(cls, geometry):
-        n = geometry.dimension
-        return cls.constant(geometry, np.zeros(n * (n + 1) // 2))
+@dataclass
+class OneFormField(_Field):
+    @staticmethod
+    def _shape(geometry):
+        return geometry.one_form_shape
+
+    def __post_init__(self):
+        self._check()
+
+
+@dataclass
+class SymTensorField(_Field):
+    @staticmethod
+    def _shape(geometry):
+        return (len(sym_index(geometry.dimension)),) + geometry.grid_shape
+
+    def __post_init__(self):
+        self._check()
 
     def full(self):
         """Expand packed components to shape (n, n, *grid)."""
         return _unpack_sym(self.values, self.geometry.dimension)
-
-    def copy(self):
-        return SymTensorField(self.geometry, self.values.copy())
 
 
 def tensor_norm_squared(T):

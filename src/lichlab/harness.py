@@ -101,6 +101,8 @@ def parse_recipe(text):
         key, val = key.strip(), val.strip()
         if not _ or not key:
             raise ValueError(f"malformed recipe parameter {item!r}")
+        if key in params:
+            raise ValueError(f"recipe parameter {key!r} is repeated")
         nums = [float(c) for c in val.split(":")]
         if not np.all(np.isfinite(nums)):
             raise ValueError(f"recipe parameter {key!r} is not finite")
@@ -428,9 +430,10 @@ def run_sweep(cfg: SweepConfig):
     u0 and the last converged solution u_w, at eps_w; the first row starts
     from u0.  The schedule strictly decreases, so the start lies between u0
     and u_w.  A row whose solve raises SolverError is recorded with
-    converged=False and NaN measures, so the verdict is NonConvergent, and
-    it moves neither u_w nor eps_w.  Each regime is classified from the
-    normalized f = c B, which has the signs of B since c > 0.
+    converged=False and NaN measures, so the verdict is NonConvergent.  A
+    row that raises or does not converge moves neither u_w nor eps_w.  Each
+    regime is classified from the normalized f = c B, which has the signs of
+    B since c > 0.
     """
     g = cfg.geometry
     C0 = normalize(cfg.base, h_override=cfg.h_override)
@@ -471,7 +474,8 @@ def run_sweep(cfg: SweepConfig):
             converged=sol.converged,
             regime=classify(C.f),
             diff_prev=_c1_distance(g, sol.u.values, warm.values)))
-        warm, eps_warm = sol.u, eps
+        if sol.converged:
+            warm, eps_warm = sol.u, eps
 
     verdict = _classify_trajectory(cfg, rows)
     return SweepReport(rows=rows, verdict=verdict, base_regime=base_regime,

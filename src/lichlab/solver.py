@@ -293,18 +293,20 @@ def constant_balance_root(h_bar, f_bar, a_bar, n):
     """Smallest positive root of h t = f t^{2*-1} + a t^{-2*-1}.
 
     Used for the default initial guess.  Scans sign changes of the balance
-    on a log grid and refines with bisection.  Near the fold both roots can
-    lie in the cells next to the grid's maximum, with no sign change on the
-    grid; the maximum is then refined there, and a positive one brackets
-    the smaller root.  Returns the maximum of the balance when no root
-    exists (closest approach), the grid's when that lies at its end.
+    on a log grid from the floor ``_U_FLOOR`` to 100, 50 points per decade,
+    so that no smaller root above the floor is passed over for the upper
+    one, and refines with bisection.  Near the fold both roots can lie in
+    the cells next to the grid's maximum, with no sign change on the grid;
+    the maximum is then refined there, and a positive one brackets the
+    smaller root.  Returns the maximum of the balance when no root exists
+    (closest approach), the grid's when that lies at its end.
     """
     p = critical_exponent(n)
 
     def balance(t):
         return h_bar * t - f_bar * t ** (p - 1.0) - a_bar * t ** (-p - 1.0)
 
-    ts = np.logspace(-6.0, 2.0, 400)
+    ts = np.logspace(np.log10(_U_FLOOR), 2.0, 500)
     vals = balance(ts)
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if len(sign_change):

@@ -268,6 +268,7 @@ class TestConstantFields:
     def test_copy_is_full_and_writable(self, make):
         field = make(Torus(3, 8))
         copy = field.copy()
+        assert type(copy) is type(field)
         assert copy.values.flags.writeable and copy.values.flags.c_contiguous
         assert np.array_equal(copy.values, field.values)
         copy.values[...] = 1.0
@@ -295,18 +296,28 @@ class TestConstantFields:
         assert np.allclose(tensor_norm_squared(T), ref, rtol=1e-15, atol=0.0)
 
 
-class TestFieldInvariants:
-    def test_scalar_shape_checked(self):
-        g = Torus(3, 16)
-        with pytest.raises(ValueError):
-            ScalarField(g, np.zeros((4, 4, 4)))
+FIELD_KINDS = {"scalar": ScalarField, "one-form": OneFormField,
+               "tensor": SymTensorField}
 
-    def test_nonfinite_rejected(self):
+
+class TestFieldInvariants:
+    @pytest.mark.parametrize("kind", FIELD_KINDS.values(),
+                             ids=FIELD_KINDS.keys())
+    def test_shape_checked(self, kind):
         g = Torus(3, 16)
-        vals = np.zeros(g.grid_shape)
-        vals[0, 0, 0] = np.inf
-        with pytest.raises(ValueError):
-            ScalarField(g, vals)
+        shape = kind.zero(g).values.shape
+        for bad in (shape[:-1] + (4,), (2,) + shape, shape[1:]):
+            with pytest.raises(ValueError, match="shape"):
+                kind(g, np.zeros(bad))
+
+    @pytest.mark.parametrize("kind", FIELD_KINDS.values(),
+                             ids=FIELD_KINDS.keys())
+    def test_nonfinite_rejected(self, kind):
+        g = Torus(3, 16)
+        vals = kind.zero(g).copy().values
+        vals.flat[-1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            kind(g, vals)
 
     @pytest.mark.parametrize("make", [
         lambda: Chart(3, 9, extent=-1.0), lambda: Chart(3, 9, extent=0.0),

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,11 @@ class TestRecipes:
         with pytest.raises(ValueError):
             scalar_from_recipe(g, "wavelet(a=1)")
 
+    def test_repeated_parameter_rejected(self):
+        # as configparser rejects a repeated key
+        with pytest.raises(ValueError, match="'amp'"):
+            parse_recipe("cosine(amp=1.0, amp=2.0)")
+
     @pytest.mark.parametrize("text", ["constant()", "cosine()", "sine()",
                                       "lorentz()"])
     def test_sup_norm_of_the_defaults_is_the_field_sup(self, text):
@@ -207,6 +213,33 @@ class TestSweep:
         assert report.verdict == "NonConvergent"
         write_csv(str(tmp_path / "rows.csv"), report.rows)
         assert ",nan," in (tmp_path / "rows.csv").read_text()
+
+    def test_unconverged_row_moves_no_secant_point(self, focusing_cfg,
+                                                   monkeypatch):
+        focusing_cfg.alphas = (1, 2, 3, 4)
+        solve = harness.solve_system
+        guesses, solutions = [], []
+
+        def unconverged_third_call(C, opts, guess=None):
+            guesses.append(guess)
+            solutions.append(solve(C, opts, guess=guess))
+            if len(guesses) == 3:
+                solutions[-1] = replace(solutions[-1], converged=False)
+            return solutions[-1]
+
+        monkeypatch.setattr(harness, "solve_system", unconverged_third_call)
+        report = run_sweep(focusing_cfg)
+        assert [r.converged for r in report.rows] == [True, False, True, True]
+        # the row after the unconverged one starts from the secant through
+        # the base and the last converged row, alpha = 1, and measures its
+        # distance from that row
+        base, last = solutions[0].u.values, solutions[1].u.values
+        expected = base + (2.0 ** -3 / 2.0 ** -1) * (last - base)
+        np.testing.assert_allclose(guesses[3].values, expected,
+                                   rtol=0.0, atol=1e-15)
+        assert report.rows[2].diff_prev == harness._c1_distance(
+            focusing_cfg.geometry, solutions[3].u.values, last)
+        assert report.verdict == "NonConvergent"
 
     def test_failing_base_solve_raises(self, focusing_cfg, monkeypatch):
         def failing(C, opts):

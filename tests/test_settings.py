@@ -1,8 +1,8 @@
 """Repository settings: the pytest settings and dependency floors in
 pyproject.toml, no unused imports in the package, its tests and its demos,
-no stale ``__all__`` entry in the package, every function the benchmark
-tracer wraps still in the package, and the three quick demos run without a
-warning."""
+no stale ``__all__`` entry in the package, every function and field class
+the benchmark tracer wraps still in the package, and the three quick demos
+run without a warning."""
 
 import ast
 import importlib.util
@@ -114,6 +114,14 @@ def test_every_traced_name_resolves():
              for name in names
              if not hasattr(importlib.import_module(f"lichlab.{module}"),
                             name)]
+    assert not stale, stale
+    # and it times each field kind's own __post_init__, read from the
+    # class's own namespace, not one inherited from a shared base
+    geometry = importlib.import_module("lichlab.geometry")
+    assert len(tracing.FIELD_CLASSES) == 3
+    stale = [f"lichlab.geometry.{name}.__post_init__"
+             for name in tracing.FIELD_CLASSES
+             if "__post_init__" not in vars(getattr(geometry, name, object))]
     assert not stale, stale
 
 

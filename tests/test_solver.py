@@ -353,6 +353,20 @@ class TestScalar:
         assert sol.converged
         assert np.max(np.abs(sol.u.values - smaller)) < 1e-12
 
+    def test_constant_balance_scans_from_the_floor(self):
+        # the smaller root 5.6e-7 lies between the floor 1e-8 and 1e-6, the
+        # upper root sqrt(2) past the fold: a scan that misses the smaller
+        # one starts the coupled solve on the upper root, converged at once
+        h, f, b = 1.0, 0.25, 1e-50
+        p = critical_exponent(3)
+        smaller = brentq(lambda t: h * t - f * t ** (p - 1) - b * t ** (-p - 1),
+                         1e-8, fold(3, h, f)[0], xtol=1e-15)
+        assert smaller < 1e-6
+        assert abs(constant_balance_root(h, f, b, 3) - smaller) < 1e-12 * smaller
+        sol = solve_system(make_coeffs(Torus(3, 8), h=h, f=f, b=b))
+        assert sol.converged
+        assert np.max(np.abs(sol.u.values - smaller)) < 1e-9 * smaller
+
 
 class TestExistenceEdge:
     """The constant-data edge of existence as an exact oracle."""
