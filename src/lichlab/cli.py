@@ -67,7 +67,7 @@ def _cmd_sweep(args):
     for r in report.rows:
         print(f"alpha={r.alpha} eps={r.eps:.6g} sup_u={r.sup_u:.8f} "
               f"inf_u={r.inf_u:.8f} converged={r.converged} "
-              f"diff_prev={r.diff_prev:.3e}")
+              f"diff_prev={r.diff_prev:.3e} steps={r.newton_steps}")
     print(f"verdict: {report.verdict}")
     csv_path = args.out + ".csv" if args.out else cfg.csv_path
     json_path = args.out + ".json" if args.out else cfg.json_path

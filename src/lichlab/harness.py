@@ -34,6 +34,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -60,7 +61,7 @@ from .geometry import (
     sym_weights,
     tensor_norm_squared,
 )
-from .solver import SolveOptions, SolverError, solve_system
+from .solver import _U_FLOOR, SolveOptions, SolverError, solve_system
 
 __all__ = [
     "parse_recipe",
@@ -93,10 +94,10 @@ def parse_recipe(text):
         raise ValueError(f"malformed recipe {text!r}")
     name, body = text[:-1].split("(", 1)
     params = {}
-    for item in body.split(","):
+    for item in body.split(",") if body.strip() else []:
         item = item.strip()
         if not item:
-            continue
+            raise ValueError(f"malformed recipe {text!r}: empty parameter")
         key, _, val = item.partition("=")
         key, val = key.strip(), val.strip()
         if not _ or not key:
@@ -383,6 +384,7 @@ class SweepRow:
     converged: bool
     regime: str                 # focusing classification of the row's data
     diff_prev: float            # C0+C1 distance to the previous solution
+    newton_steps: int           # the row solve's Solution.iterations
 
 
 BAND_CHECK_NOTE = (
@@ -421,19 +423,40 @@ def _c1_distance(g, u1, u0):
     return float(np.max(np.abs(d))) + float(np.max(np.abs(g.grad(d))))
 
 
+def _interpolant(eps, u0, nodes):
+    """Lagrange interpolant in eps through (0, u0) and nodes [(eps_j, u_j)].
+
+    Written as u0 + sum_j w_j (u_j - u0), since the weights sum to 1; with
+    one node it is the secant u0 + (eps / eps_1)(u_1 - u0).
+    """
+    knots = [0.0] + [e for e, _ in nodes]
+    start = u0.copy()
+    for j, (ej, uj) in enumerate(nodes, 1):
+        w = math.prod((eps - ei) / (ej - ei)
+                      for i, ei in enumerate(knots) if i != j)
+        start += w * (uj - u0)
+    return start
+
+
 def run_sweep(cfg: SweepConfig):
     """Solve along the perturbation schedule and classify the trajectory.
 
     The base solve is the sweep's precondition: its SolverError propagates
-    and a non-converged base raises SolverError.  Each perturbed row starts
-    from the secant u0 + (eps / eps_w)(u_w - u0) through the base solution
-    u0 and the last converged solution u_w, at eps_w; the first row starts
-    from u0.  The schedule strictly decreases, so the start lies between u0
-    and u_w.  A row whose solve raises SolverError is recorded with
-    converged=False and NaN measures, so the verdict is NonConvergent.  A
-    row that raises or does not converge moves neither u_w nor eps_w.  Each
-    regime is classified from the normalized f = c B, which has the signs of
-    B since c > 0.
+    and a non-converged base raises SolverError.  The solutions u(eps) lie
+    on a smooth branch through the base solution u0, so each perturbed row
+    starts from the Lagrange interpolant in eps through (0, u0) and the last
+    three converged rows, fewer while fewer exist (with one, the secant).
+    The schedule strictly decreases, so this interpolates inside [0, eps_w],
+    eps_w the last converged row's.  Where the interpolant is not above the
+    solver floor, the row starts from the secant through u0 and the last
+    converged row, a convex combination of two positive fields.  With
+    h_override every row shares the h the base solve checked for
+    coercivity, so the rows skip the check; otherwise h depends on psi and
+    every row checks it.  A row whose solve raises SolverError is recorded
+    with converged=False and NaN measures, so the verdict is NonConvergent.
+    A row that raises or does not converge becomes neither a node nor the
+    next diff_prev reference.  Each regime is classified from the
+    normalized f = c B, which has the signs of B since c > 0.
     """
     g = cfg.geometry
     C0 = normalize(cfg.base, h_override=cfg.h_override)
@@ -444,23 +467,27 @@ def run_sweep(cfg: SweepConfig):
             "base data solve did not converge; the sweep precondition fails "
             f"(residuals {base_sol.scalar_residual:.2e}, "
             f"{base_sol.momentum_residual:.2e})")
+    row_opts = (cfg.solver if cfg.h_override is None
+                else replace(cfg.solver, coercivity_check="off"))
 
     rows = []
     u0 = base_sol.u.values
-    warm, eps_warm = base_sol.u, None
+    nodes = []                  # (eps, u) of the last three converged rows
     for alpha, eps in zip(cfg.alphas, cfg.epsilons):
         data = _perturbed_data(cfg, eps)
         C = normalize(data, h_override=cfg.h_override)
-        guess = warm if eps_warm is None else ScalarField(
-            g, u0 + (eps / eps_warm) * (warm.values - u0))
+        start = _interpolant(eps, u0, nodes)
+        if not np.min(start) > _U_FLOOR:
+            start = _interpolant(eps, u0, nodes[-1:])
         try:
-            sol = solve_system(C, cfg.solver, guess=guess)
+            sol = solve_system(C, row_opts, guess=ScalarField(g, start))
         except SolverError:
             nan = float("nan")
             rows.append(SweepRow(
                 alpha=alpha, eps=eps, sup_u=nan, inf_u=nan, sup_LW=nan,
                 scalar_residual=nan, momentum_residual=nan, kernel_defect=nan,
-                converged=False, regime=classify(C.f), diff_prev=nan))
+                converged=False, regime=classify(C.f), diff_prev=nan,
+                newton_steps=nan))
             continue
         LW = conformal_killing_deriv(sol.W)
         rows.append(SweepRow(
@@ -473,9 +500,11 @@ def run_sweep(cfg: SweepConfig):
             kernel_defect=sol.kernel_defect,
             converged=sol.converged,
             regime=classify(C.f),
-            diff_prev=_c1_distance(g, sol.u.values, warm.values)))
+            diff_prev=_c1_distance(g, sol.u.values,
+                                   nodes[-1][1] if nodes else u0),
+            newton_steps=sol.iterations))
         if sol.converged:
-            warm, eps_warm = sol.u, eps
+            nodes = nodes[-2:] + [(eps, sol.u.values)]
 
     verdict = _classify_trajectory(cfg, rows)
     return SweepReport(rows=rows, verdict=verdict, base_regime=base_regime,

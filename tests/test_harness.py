@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lichlab.harness as harness
 from lichlab.cli import main as cli_main
@@ -143,6 +143,15 @@ class TestRecipes:
         with pytest.raises(ValueError, match="'amp'"):
             parse_recipe("cosine(amp=1.0, amp=2.0)")
 
+    @pytest.mark.parametrize("text", ["cosine(amp=1.0,,)", "cosine(,)",
+                                      "cosine(amp=1.0,)", "cosine(, amp=1.0)"])
+    def test_empty_parameter_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_recipe(text)
+        # an empty body is no empty item
+        assert parse_recipe("cosine()") == parse_recipe("cosine( )") == \
+            ("cosine", {})
+
     @pytest.mark.parametrize("text", ["constant()", "cosine()", "sine()",
                                       "lorentz()"])
     def test_sup_norm_of_the_defaults_is_the_field_sup(self, text):
@@ -201,7 +210,8 @@ class TestSweep:
         assert not failed.converged
         assert failed.regime == report.rows[0].regime
         for name in ("sup_u", "inf_u", "sup_LW", "scalar_residual",
-                     "momentum_residual", "kernel_defect", "diff_prev"):
+                     "momentum_residual", "kernel_defect", "diff_prev",
+                     "newton_steps"):
             assert np.isnan(getattr(failed, name))
         assert all(r.converged for r in report.rows[::2] + report.rows[3:])
         # the row after the failure starts from the secant through the base
@@ -251,8 +261,8 @@ class TestSweep:
 
     def test_newton_steps_per_row_are_pinned(self, focusing_cfg,
                                              monkeypatch):
-        # full steps from the secant start: no perturbed row takes more
-        # Newton steps than the base solve
+        # full steps from the interpolating start: each row after the first
+        # takes fewer Newton steps than the one before
         solve = harness.solve_system
         steps = []
 
@@ -263,8 +273,38 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "solve_system", recording)
         assert run_sweep(focusing_cfg).verdict == "Stable-band"
-        assert steps == [8, 7, 6, 5, 5, 5, 4]
+        assert steps == [8, 7, 6, 5, 4, 3, 2]
         assert max(steps[1:]) <= steps[0]
+
+    @pytest.mark.parametrize("shared_h", [True, False])
+    def test_coercivity_is_checked_once_per_shared_h(self, coarse_focusing_cfg,
+                                                      shared_h):
+        # a stand-in solve: on the flat torus the derived h = c R_psi <= 0
+        # is not coercive, so without an override a real row solve would
+        # raise NonCoerciveError
+        cfg = SweepConfig(**{**coarse_focusing_cfg.__dict__,
+                             "solver": replace(coarse_focusing_cfg.solver,
+                                               coercivity_check="weak")})
+        if not shared_h:
+            cfg.h_override = None
+        g = cfg.geometry
+        received = []
+
+        def stand_in(C, opts, guess=None):
+            received.append(opts)
+            return Solution(u=ScalarField.constant(g, 1.0),
+                            W=OneFormField.zero(g), scalar_residual=0.0,
+                            momentum_residual=0.0, kernel_defect=0.0,
+                            iterations=1, converged=True)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "solve_system", stand_in)
+            run_sweep(cfg)
+        assert len(received) == 1 + len(cfg.alphas)
+        assert received[0] == cfg.solver
+        row_opts = (replace(cfg.solver, coercivity_check="off") if shared_h
+                    else cfg.solver)
+        assert all(opts == row_opts for opts in received[1:])
 
     def test_unconverged_base_solve_raises_a_solver_error(self, tmp_path):
         # one Newton step leaves the base scalar residual near 0.4
@@ -316,10 +356,16 @@ class TestSweep:
                     unique=True).map(sorted),
            st.lists(st.booleans(), min_size=6, max_size=6),
            st.integers(0, 2 ** 32 - 1))
-    def test_each_row_starts_from_the_secant(self, coarse_focusing_cfg,
-                                             alphas, fails, seed):
-        # stand-in solves return positive fields down to near the floor;
-        # a row marked in fails raises instead and moves no start
+    # the halving schedule, whose draws at seed 0 reach both the
+    # interpolant and its fallback, with and without failed rows
+    @example([0, 1, 2, 3, 4, 5], [False] * 6, 0)
+    @example([0, 1, 2, 3, 4, 5], [False, True, False, False, True, False], 0)
+    def test_each_row_starts_from_the_interpolant(self, coarse_focusing_cfg,
+                                                  alphas, fails, seed):
+        # stand-in solves return positive fields, half of them down to near
+        # the floor, the rest within [1, 10^0.5], where the interpolant of
+        # the schedule (Lebesgue constant at most 1.44) stays positive; a
+        # row marked in fails raises instead and becomes no node
         cfg = SweepConfig(**{**coarse_focusing_cfg.__dict__,
                              "alphas": tuple(alphas)})
         g = cfg.geometry
@@ -331,7 +377,8 @@ class TestSweep:
                 starts.append(guess.values.copy())
                 if fails[len(starts) - 1]:
                     raise NewtonDivergedError("forced failure")
-            u = 10.0 ** rng.uniform(-7.9, 0.5, g.grid_shape)
+            low = rng.choice([-7.9, 0.0])
+            u = 10.0 ** rng.uniform(low, 0.5, g.grid_shape)
             returned.append(u)
             return Solution(u=ScalarField(g, u), W=OneFormField.zero(g),
                             scalar_residual=0.0, momentum_residual=0.0,
@@ -342,16 +389,26 @@ class TestSweep:
             report = run_sweep(cfg)
         assert len(starts) == len(alphas) == len(report.rows)
         base = returned.pop(0)
-        last, eps_last = base, None
+        nodes = [(0.0, base)]
         for start, eps, failed in zip(starts, cfg.epsilons, fails):
-            expected = (base if eps_last is None
-                        else base + (eps / eps_last) * (last - base))
-            np.testing.assert_allclose(start, expected, rtol=1e-15, atol=0.0)
-            assert np.all(start >= np.minimum(base, last) * (1 - 1e-15))
-            assert np.all(start <= np.maximum(base, last) * (1 + 1e-15))
+            # Lagrange form sum_j L_j(eps) u_j through the base and the
+            # last three converged rows
+            knots = [e for e, _ in nodes]
+            expected = sum(
+                np.prod([(eps - ei) / (ej - ei) for ei in knots if ei != ej])
+                * uj for ej, uj in nodes)
+            if np.min(expected) > _U_FLOOR:
+                np.testing.assert_allclose(start, expected, rtol=1e-12,
+                                           atol=1e-14)
+            else:
+                last_eps, last = nodes[-1]
+                secant = base + (eps / last_eps) * (last - base)
+                np.testing.assert_allclose(start, secant, rtol=1e-15, atol=0.0)
+                assert np.all(start >= np.minimum(base, last) * (1 - 1e-15))
+                assert np.all(start <= np.maximum(base, last) * (1 + 1e-15))
             assert np.min(start) > _U_FLOOR
             if not failed:
-                last, eps_last = returned.pop(0), eps
+                nodes = [nodes[0]] + nodes[1:][-2:] + [(eps, returned.pop(0))]
 
     def test_c1_distance_counts_sup_norm_once(self):
         g = load_config(FOCUSING_CONFIG).geometry
@@ -510,6 +567,31 @@ class TestOutputs:
         assert "config_hash" in summary and "versions" in summary
         csv_text = (tmp_path / "run.csv").read_text()
         assert csv_text.startswith("alpha,eps,")
+
+    def test_newton_steps_are_the_last_column(self, tmp_path, monkeypatch,
+                                              capsys):
+        solve = harness.solve_system
+        steps = []
+
+        def recording(C, opts, guess=None):
+            sol = solve(C, opts, guess=guess)
+            steps.append(sol.iterations)
+            return sol
+
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(focusing_ini({"geometry": {"resolution": "12"},
+                                     "schedule": {"alphas": "1 2 3 4"},
+                                     "output": None}))
+        monkeypatch.setattr(harness, "solve_system", recording)
+        out = tmp_path / "run"
+        assert cli_main(["sweep", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        header, *lines = (tmp_path / "run.csv").read_text().splitlines()
+        assert header.endswith(",diff_prev,newton_steps")
+        assert [line.rsplit(",", 1)[1] for line in lines] == \
+            [str(n) for n in steps[1:]]
+        printed = re.findall(r"steps=(\d+)", capsys.readouterr().out)
+        assert printed == [str(n) for n in steps[1:]]
 
     def test_cli_solve(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
