@@ -18,10 +18,16 @@ variant
 
     int_dB ( 1/2 Y.nu |grad v|^2 - (Y.grad v) dv/dnu ) ds
         = int_B (Y.grad v) (-h v + f v^{2*-1} + a v^{-2*-1}) dx .
+
+The fields are read off the chart by quintic splines, concurrently: one
+worker thread per usable core, with the index array of each point set
+built once and shared by every read of it.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,21 +113,50 @@ class PohozaevReport:
         return abs(self.interior - self.boundary)
 
 
-def _chart_sample(chart, values, pts, overwrite=False):
-    """Quintic spline of nodal values read at the points pts, shape (M, n).
+def _chart_sample(values, idx, overwrite=False):
+    """Quintic spline of nodal values read at chart indices idx, shape (M, n).
 
     One prefilter and one map_coordinates call per field, so a caller
     reads all its points at once.  A constant field is read as that
     constant, with no spline at all.  With ``overwrite`` the prefilter
     writes over ``values``, for a fresh array the caller no longer needs.
+    _chart_read runs it for several fields at once, one worker thread per
+    usable core, and the reads of one point set share its idx.
     """
     if np.all(values == values.flat[0]):
-        return np.full(len(pts), float(values.flat[0]))
+        return np.full(len(idx), float(values.flat[0]))
     filtered = spline_filter(values, order=5, mode="nearest",
                              output=values if overwrite else np.float64)
-    idx = (pts + chart.extent) / chart.spacing
     return map_coordinates(filtered, idx.T, order=5, mode="nearest",
                            prefilter=False)
+
+
+def _chart_read(chart, jobs):
+    """_chart_sample of each (values, pts, overwrite) job, all at once.
+
+    The fields are read concurrently, one worker thread per usable core
+    (both scipy calls release the GIL), by a pool that lives only for this
+    call.  Each point set's index array (pts + extent) / spacing is built
+    once and shared by every read of it.
+    """
+    index = {}
+    for _, pts, _ in jobs:
+        if id(pts) not in index:
+            index[id(pts)] = (pts + chart.extent) / chart.spacing
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=min(len(jobs), cores)) as pool:
+        reads = [pool.submit(_chart_sample, values, index[id(pts)], overwrite)
+                 for values, pts, overwrite in jobs]
+    return [read.result() for read in reads]
+
+
+def _finite_vector(x, n, name):
+    """x as a float array of n finite entries (ValueError otherwise)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be {n} finite numbers, got {x}")
+    return x
 
 
 # Pohozaev quadrature: Gauss points per radial panel, radial panels, and
@@ -140,8 +175,10 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     Returns a PohozaevReport with the interior/boundary values and the
     interior term breakdown.  ``direction`` switches from the dilation
     identity to the translation identity along that vector.  C must live
-    on v's chart (GeometryMismatch) and the radius must be positive
-    (ValueError).
+    on v's chart (GeometryMismatch); the radius must be positive and the
+    center and direction n finite numbers (ValueError).  The fields are
+    read by _chart_read in two concurrent batches: v and its partials,
+    then the coefficients.
     """
     g = v.geometry
     if not isinstance(g, Chart):
@@ -150,7 +187,9 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     if not radius > 0.0:
         raise ValueError(f"need a positive radius, got {radius}")
     n = g.dimension
-    center = np.asarray(center, dtype=float)
+    center = _finite_vector(center, n, "center")
+    if direction is not None:
+        direction = _finite_vector(direction, n, "direction")
     if np.max(np.abs(center)) + radius > g.extent:
         raise ValueError("ball exceeds the chart")
     p = critical_exponent(n)
@@ -160,12 +199,12 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
                         center)
     m = len(ball)
     # v and its partials are read at the interior nodes and on the boundary
-    # sphere in one pass; the partials are fresh, so they are filtered in
+    # sphere in one batch; the partials are fresh, so they are filtered in
     # place
     pts = np.concatenate([ball, center[None, :] + radius * dirs])
-    vv = _chart_sample(g, v.values, pts)
-    gv = np.stack([_chart_sample(g, d, pts, overwrite=True)
-                   for d in g.grad(v.values)], axis=-1)
+    vv, *gv = _chart_read(g, [(v.values, pts, False)]
+                          + [(d, pts, True) for d in g.grad(v.values)])
+    gv = np.stack(gv, axis=-1)
 
     # interior: radial-angular quadrature with lap v from the equation
     vi, gi = vv[:m], gv[:m]
@@ -173,14 +212,13 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
         mult = np.einsum("Mi,Mi->M", ball - center[None, :], gi) \
             + 0.5 * (n - 2.0) * vi
     else:
-        Yd = np.asarray(direction, dtype=float)
-        mult = gi @ Yd
-    K1 = float(np.sum(w * mult * (-_chart_sample(g, C.h.values, ball) * vi)))
-    K2 = float(np.sum(w * mult * _chart_sample(g, C.f.values, ball)
-                      * vi ** (p - 1.0)))
-    K3 = float(np.sum(w * mult
-                      * _chart_sample(g, C.quadratic(), ball, overwrite=True)
-                      * vi ** (-p - 1.0)))
+        mult = gi @ direction
+    hb, fb, ab = _chart_read(g, [(C.h.values, ball, False),
+                                 (C.f.values, ball, False),
+                                 (C.quadratic(), ball, True)])
+    K1 = float(np.sum(w * mult * (-hb * vi)))
+    K2 = float(np.sum(w * mult * fb * vi ** (p - 1.0)))
+    K3 = float(np.sum(w * mult * ab * vi ** (-p - 1.0)))
     interior = K1 + K2 + K3
 
     # boundary flux terms
@@ -191,8 +229,7 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
         integrand = (0.5 * radius * grad2 - 0.5 * (n - 2.0) * vb * dnu
                      - radius * dnu ** 2)
     else:
-        Yd = np.asarray(direction, dtype=float)
-        integrand = 0.5 * (dirs @ Yd) * grad2 - (gb @ Yd) * dnu
+        integrand = 0.5 * (dirs @ direction) * grad2 - (gb @ direction) * dnu
     boundary = float(np.sum(angw * integrand) * radius ** (n - 1.0))
 
     return PohozaevReport(interior=interior, boundary=boundary,

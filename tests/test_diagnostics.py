@@ -1,3 +1,6 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +194,78 @@ class TestPohozaev:
         v = ScalarField.constant(g, 1.0)
         with pytest.raises(ValueError, match="positive radius"):
             pohozaev_defect(v, chart_coeffs(g, f=3.0), np.zeros(3), radius)
+
+    @pytest.mark.parametrize("center, direction", [
+        ([np.nan, 0.0, 0.0], None),
+        ([np.inf, 0.0, 0.0], None),
+        ([0.0, 0.0], None),
+        ([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [1.0, 0.0]),
+        ([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]),
+    ])
+    def test_center_and_direction_must_be_finite_points(self, center,
+                                                        direction):
+        # a NaN center passed the ball-fits check and gave an all-NaN
+        # report; a short one failed later in the quadrature arithmetic
+        g = Chart(3, 33, extent=1.3)
+        v = ScalarField.constant(g, 1.0)
+        with pytest.raises(ValueError, match="finite numbers"):
+            pohozaev_defect(v, chart_coeffs(g, f=3.0), center, 0.5,
+                            direction=direction)
+
+    @pytest.mark.parametrize("direction", [None, [1.0, 0.5, -0.2]])
+    def test_one_worker_gives_the_same_report(self, monkeypatch, direction):
+        # every field is read by the same call on the same array whatever
+        # the number of workers, so the report is bit-identical
+        g = Chart(3, 33, extent=1.3)
+        x = chart_points(g)
+        v = ScalarField(g, bubble(BubbleParams(n=3, mu=1.0, f_center=3.0),
+                                  x))
+        C = replace(chart_coeffs(g),
+                    h=ScalarField(g, 0.2 + 0.1 * x[..., 1]),
+                    f=ScalarField(g, 3.0 + 0.3 * x[..., 0]),
+                    b=ScalarField(g, 0.1 + 0.05 * x[..., 2] ** 2))
+        center = np.array([0.1, -0.05, 0.0])
+        default = pohozaev_defect(v, C, center, 0.9, direction=direction)
+        reads = []
+        real = diagnostics.map_coordinates
+
+        def counted(*args, **kwargs):
+            reads.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "map_coordinates", counted)
+        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor",
+                            lambda max_workers: ThreadPoolExecutor(1))
+        serial = pohozaev_defect(v, C, center, 0.9, direction=direction)
+        assert len(reads) == 7
+        assert (serial.interior, serial.boundary, serial.K1, serial.K2,
+                serial.K3) == (default.interior, default.boundary,
+                               default.K1, default.K2, default.K3)
+        assert 0.0 not in (default.K1, default.K2, default.K3)
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+        else (os.cpu_count() or 1) < 2, reason="needs 2 usable cores")
+    def test_fields_are_read_concurrently(self, monkeypatch):
+        # each map_coordinates call waits for a second one in flight: a
+        # loop that reads one field after another breaks the barrier
+        barrier = threading.Barrier(2, timeout=10.0)
+        real = diagnostics.map_coordinates
+
+        def paired(*args, **kwargs):
+            barrier.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "map_coordinates", paired)
+        p = BubbleParams(n=3, mu=1.0, f_center=3.0)
+        g = Chart(3, 33, extent=1.3)
+        v = ScalarField(g, bubble(p, chart_points(g)))
+        threads = threading.active_count()
+        rep = pohozaev_defect(v, chart_coeffs(g, f=3.0), np.zeros(3), 1.0)
+        assert rep.defect < 1e-4
+        # and the pool is gone once the call returns
+        assert threading.active_count() == threads
 
 
 class TestCovariance:

@@ -74,12 +74,16 @@ def test_constraint_residuals_keep_K_packed():
 
 
 def test_pohozaev_defect_splines_one_field_at_a_time():
-    # the chart gradient as g.grad builds it (its 3 partials and the
-    # reshaped copy and product of the one in flight, 5 fields) and the
-    # quadrature nodes, weights and joined point list (about 2 fields at
-    # 65^3) fit in 8; a gradient that stacks three finished partials
-    # (8.2 fields) and a spline of every field held for two passes over
-    # the points (16.9 fields) do not
+    # the quadrature nodes, weights and joined point list (about 2 fields
+    # at 65^3) are alive throughout; with them, the chart gradient as
+    # g.grad builds it (its 3 partials and the reshaped copy and product
+    # of the one in flight, 5 fields), and then the reads in flight
+    # together (the 3 partials filtered in place, the filtered copy of v,
+    # the one index array they share and their 4 results, about 5.5
+    # fields) fit in 8; a gradient that stacks three finished partials
+    # (8.2 fields), an index array per read in flight (9.0 fields) and a
+    # spline of every field held for two passes over the points (16.9
+    # fields) do not
     g = Chart(3, 65, extent=1.3)
     pts = np.stack(np.meshgrid(*([g.axis_coords] * 3), indexing="ij"),
                    axis=-1)

@@ -1,8 +1,8 @@
 """Repository settings: the pytest settings and dependency floors in
 pyproject.toml, no unused imports in the package, its tests and its demos,
 no stale ``__all__`` entry in the package, every function and field class
-the benchmark tracer wraps still in the package, and the three quick demos
-run without a warning."""
+the benchmark tracer wraps still in the package under its name, and the
+three quick demos run without a warning."""
 
 import ast
 import importlib.util
@@ -122,6 +122,14 @@ def test_every_traced_name_resolves():
     stale = [f"lichlab.geometry.{name}.__post_init__"
              for name in tracing.FIELD_CLASSES
              if "__post_init__" not in vars(getattr(geometry, name, object))]
+    assert not stale, stale
+    # and it counts the Pohozaev spline reads by replacing scipy's own
+    # functions wherever the package holds them under their names
+    ndimage = importlib.import_module("scipy.ndimage")
+    diagnostics = importlib.import_module("lichlab.diagnostics")
+    stale = [f"lichlab.diagnostics.{name}"
+             for name in ("spline_filter", "map_coordinates")
+             if getattr(diagnostics, name, None) is not getattr(ndimage, name)]
     assert not stale, stale
 
 
