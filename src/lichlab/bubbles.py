@@ -131,15 +131,23 @@ class Constants:
 
 
 def blowup_constants(n):
-    """Dimension constants of the far-field expansions and stability bound."""
+    """Dimension constants of the far-field expansions and stability bound.
+
+    From n = 142 on they overflow a double (ValueError).
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
-    om_n = sphere_area(n)
-    om_nm1 = sphere_area(n - 1)
-    denom = 2.0 ** (n + 1) * (n - 1.0) * om_nm1
-    c1 = n ** ((n + 2.0) / 2.0) * (n - 2.0) ** (n / 2.0) * om_n / denom
-    c2 = -(n ** ((n + 4.0) / 2.0)) * (n - 2.0) ** (n / 2.0) * om_n / denom
-    kn = 2.0 ** (-n) * (n * (n - 2.0)) ** (n / 2.0) * om_n
+    try:
+        om_n = sphere_area(n)
+        denom = 2.0 ** (n + 1) * (n - 1.0) * sphere_area(n - 1)
+        c1 = n ** ((n + 2.0) / 2.0) * (n - 2.0) ** (n / 2.0) * om_n / denom
+        c2 = -(n ** ((n + 4.0) / 2.0)) * (n - 2.0) ** (n / 2.0) * om_n / denom
+        kn = 2.0 ** (-n) * (n * (n - 2.0)) ** (n / 2.0) * om_n
+    except OverflowError:           # a power or gamma past the largest double
+        c1 = c2 = kn = np.inf
+    if not np.all(np.isfinite([c1, c2, kn])):
+        raise ValueError(f"the dimension constants overflow a double at "
+                         f"n = {n}")
     cn = (n - 2.0) * (n - 4.0) / (8.0 * (n - 1.0))
     return Constants(C1=c1, C2=c2, bubble_energy=kn, stability_coef=cn)
 

@@ -93,10 +93,10 @@ def _cmd_instability3(args):
     lambdas = [float(s) for s in args.lambdas.split(",")]
     rows = run_instability_demo(lambdas, resolution=args.resolution)
     for r in rows:
-        print(f"lambda={r['lambda']:.6g} sup_phi={r['sup_phi']:.8f} "
-              f"closed_form={r['sup_phi_closed_form']:.8f} "
-              f"scalar={r['scalar_residual']:.3e} "
-              f"vector={r['vector_residual']:.3e}")
+        print(f"lambda={r.lam:.6g} sup_phi={r.sup_phi:.8f} "
+              f"closed_form={r.sup_phi_closed_form:.8f} "
+              f"scalar={r.scalar_residual:.3e} "
+              f"vector={r.vector_residual:.3e}")
     ok = _print_checks(check_instability(rows))
     if args.out:
         write_csv(args.out + ".csv", rows)
@@ -150,7 +150,8 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="module invariant suites")
     p.add_argument("--select", default=None,
-                   help="restrict to one check group, e.g. green")
+                   help="run only the check group of this exact name, "
+                   "e.g. green")
     p.add_argument("--out", default=None, help="output path prefix")
     p.set_defaults(func=_cmd_verify)
 

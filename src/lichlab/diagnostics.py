@@ -1,8 +1,9 @@
 """Identity and inequality checkers.
 
-Harnack sup/inf ratios, Pohozaev balances on Euclidean charts, the
-dimensional stability margin, and the conformal covariance of the scalar
-and one-form operators.
+The dimensional stability margin (instability.verify reports it for the
+blow-up family, whose data sit exactly on the bound), Pohozaev balances
+on Euclidean charts, and the conformal covariance of the scalar and
+one-form operators.
 
 The Pohozaev balance is pure integration by parts: for any smooth v on a
 ball B(0, r),
@@ -55,45 +56,26 @@ from .quadrature import ball_rule, unit_sphere_rule
 
 __all__ = [
     "PohozaevReport",
-    "harnack_ratio",
     "pohozaev_defect",
     "stability_condition",
     "conformal_covariance_residuals",
 ]
 
 
-def harnack_ratio(u, inner_region, outer_region=None):
-    """sup/inf of a positive field over the inner region.
-
-    ``u`` may be a ScalarField or a plain array; regions are boolean masks
-    of the same shape.  Positivity is required on the outer region (or the
-    inner one when no outer mask is given).
-    """
-    vals = u.values if hasattr(u, "values") else np.asarray(u, dtype=float)
-    inner = np.asarray(inner_region, dtype=bool)
-    check = np.asarray(outer_region, dtype=bool) if outer_region is not None \
-        else inner
-    if not np.any(inner):
-        raise ValueError("inner region is empty")
-    if np.min(vals[check]) <= 0.0:
-        raise ValueError("field must be positive on the outer region")
-    return float(np.max(vals[inner]) / np.min(vals[inner]))
-
-
 def stability_condition(h0, f0, lap_f0, Rg, n):
-    """Margin of the dimensional stability bound at a critical point.
+    """Margin of the dimensional stability bound at a critical point of f.
 
     margin = (n-2)/(4(n-1)) Rg - C(n) lap_f0 / f0 - h0, with the geometer's
-    Laplacian convention in lap_f0; satisfied iff the margin is strictly
-    positive.
+    Laplacian convention in lap_f0; the bound holds iff the margin is
+    strictly positive.  The arguments may be arrays of nodal values, f0
+    positive at every node (ValueError).
     """
     from .bubbles import blowup_constants
 
-    if f0 <= 0.0:
+    if not np.all(np.asarray(f0) > 0.0):
         raise ValueError("f0 must be positive")
     cn = blowup_constants(n).stability_coef
-    margin = (n - 2.0) / (4.0 * (n - 1.0)) * Rg - cn * lap_f0 / f0 - h0
-    return {"satisfied": bool(margin > 0.0), "margin": float(margin)}
+    return (n - 2.0) / (4.0 * (n - 1.0)) * Rg - cn * lap_f0 / f0 - h0
 
 
 # ---------------------------------------------------------------------------

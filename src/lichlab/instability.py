@@ -46,6 +46,7 @@ from .geometry import (
     SymTensorField,
     conformal_killing_deriv,
     lame,
+    laplace_beltrami,
     _fd_matrix,
 )
 from .solver import _momentum_rhs, scalar_residual_field
@@ -57,7 +58,6 @@ __all__ = [
     "phi_bubble_sphere",
     "sphere_yamabe_residual",
     "solve_Z",
-    "homogeneous_solutions",
     "assemble",
     "verify",
 ]
@@ -89,18 +89,6 @@ def sphere_yamabe_residual(n, lam, grid=None):
     p = critical_exponent(n)
     res = lap + coef * phi - coef * phi ** (p - 1.0)
     return float(np.max(np.abs(res)) / np.max(coef * phi ** (p - 1.0)))
-
-
-def homogeneous_solutions(r):
-    """Closed-form solutions of the homogeneous radial one-form equation.
-
-    Returns (Z1, Z2) with Z1(pi/2) = 1, Z1'(pi/2) = 0 and Z2(pi/2) = 0,
-    Z2'(pi/2) = -1.
-    """
-    r = np.asarray(r, dtype=float)
-    z1 = np.sin(r)
-    z2 = np.cos(r) + np.cos(r) ** 3 / (3.0 * np.sin(r) ** 2)
-    return z1, z2
 
 
 def solve_Z(lam, grid):
@@ -222,6 +210,7 @@ class InstabilityReport:
     norm_U: float
     norm_Y: float
     cancellation: float
+    stability_margin: float
 
 
 def assemble(lam, eta_params: EtaParams = None, geometry: SphereRadial = None):
@@ -257,8 +246,14 @@ def verify(assembly: InstabilityAssembly):
     (a(W) vanishes, U = -L W), and lame(W) minus its ``_momentum_rhs``
     relative to that right-hand side (the sphere has no kernel to project).
     The supremum of phi is measured on a dense closed-form sample of [0, pi]
-    (the grid excludes the poles where the maximum sits).
+    (the grid excludes the poles where the maximum sits).  The stability
+    margin is the largest |margin| of diagnostics.stability_condition over
+    the nodes, every one a critical point of the constant f: h = 3/4 is
+    exactly the conformal Laplacian's potential R/8, where the strict
+    bound fails.
     """
+    from .diagnostics import stability_condition
+
     g = assembly.geometry
     phi, W, C, lam = assembly.phi, assembly.W, assembly.C, assembly.lam
     p = critical_exponent(g.dimension)
@@ -287,4 +282,7 @@ def verify(assembly: InstabilityAssembly):
         norm_U=float(np.max(np.abs(C.U.values))),
         norm_Y=float(np.max(np.abs(C.Y.values))),
         cancellation=cancellation,
+        stability_margin=float(np.max(np.abs(stability_condition(
+            C.h.values, C.f.values, laplace_beltrami(C.f).values,
+            g.scalar_curvature(), g.dimension)))),
     )

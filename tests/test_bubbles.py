@@ -50,6 +50,12 @@ class TestConstants:
         # C(6) = 0.2 is the verify row constants_c6
         assert blowup_constants(4).stability_coef == 0.0
 
+    @pytest.mark.parametrize("n", [142, 144])
+    def test_overflow_names_the_dimension(self, n):
+        # at n = 142 C2 is -inf; at n = 144 a float power overflows
+        with pytest.raises(ValueError, match=f"at n = {n}$"):
+            blowup_constants(n)
+
     def test_bubble_energy_is_profile_mass(self):
         # direct radial quadrature of the B^{2*} integral at f0 = 1
         for n in (3, 5):

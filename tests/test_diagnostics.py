@@ -11,7 +11,6 @@ from lichlab.bubbles import BubbleParams, bubble
 from lichlab.conformal import SystemCoefficients
 from lichlab.diagnostics import (
     conformal_covariance_residuals,
-    harnack_ratio,
     pohozaev_defect,
     stability_condition,
 )
@@ -36,65 +35,45 @@ def chart_points(g):
                                 indexing="ij"), axis=-1)
 
 
-class TestHarnack:
-    def test_constant_field(self):
-        vals = np.full((8, 8, 8), 5.0)
-        mask = np.ones_like(vals, dtype=bool)
-        assert harnack_ratio(vals, mask) == pytest.approx(1.0)
-
-    def test_profile_on_unit_ball(self):
-        g = Chart(3, 65, extent=1.0)
-        pts = chart_points(g)
-        vals = bubble(BubbleParams(n=3, mu=1.0, f_center=3.0), pts)
-        r = np.linalg.norm(pts, axis=-1)
-        inner = r <= 1.0
-        # sup = 1 at the origin, inf = (1 + 1)^{-1/2} on the sphere
-        assert harnack_ratio(vals, inner) == pytest.approx(np.sqrt(2.0),
-                                                           rel=1e-3)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(0)
-        vals = 1.0 + rng.random((6, 6, 6))
-        mask = np.zeros_like(vals, dtype=bool)
-        mask[1:5, 1:5, 1:5] = True
-        assert harnack_ratio(7.3 * vals, mask) == pytest.approx(
-            harnack_ratio(vals, mask))
-
-    def test_positivity_enforced(self):
-        vals = np.ones((6, 6, 6))
-        vals[0, 0, 0] = -1.0
-        mask = np.ones_like(vals, dtype=bool)
-        with pytest.raises(ValueError):
-            harnack_ratio(vals, mask, mask)
-
-
 class TestStabilityCondition:
     def test_positive_margin(self):
-        out = stability_condition(h0=1.0, f0=1.0, lap_f0=0.0, Rg=30.0, n=6)
-        assert out["satisfied"]
-        assert out["margin"] == pytest.approx(5.0)
+        margin = stability_condition(h0=1.0, f0=1.0, lap_f0=0.0, Rg=30.0, n=6)
+        assert margin == pytest.approx(5.0)
 
     def test_boundary_not_satisfied(self):
         n, Rg = 7, 12.0
         h0 = (n - 2.0) * Rg / (4.0 * (n - 1.0))
-        out = stability_condition(h0=h0, f0=2.0, lap_f0=0.0, Rg=Rg, n=n)
-        assert out["margin"] == pytest.approx(0.0, abs=1e-14)
-        assert not out["satisfied"]
+        margin = stability_condition(h0=h0, f0=2.0, lap_f0=0.0, Rg=Rg, n=n)
+        assert margin == pytest.approx(0.0, abs=1e-14)
+        assert not margin > 0.0
 
     def test_laplacian_term(self):
-        out = stability_condition(h0=-2.0, f0=2.0, lap_f0=10.0, Rg=0.0, n=6)
-        assert out["margin"] == pytest.approx(1.0)
-        assert out["satisfied"]
+        margin = stability_condition(h0=-2.0, f0=2.0, lap_f0=10.0, Rg=0.0,
+                                     n=6)
+        assert margin == pytest.approx(1.0)
 
     def test_margin_affine_in_h0(self):
         base = stability_condition(h0=0.0, f0=1.0, lap_f0=3.0, Rg=7.0, n=8)
         for dh in (0.5, 2.0, -1.0):
-            out = stability_condition(h0=dh, f0=1.0, lap_f0=3.0, Rg=7.0, n=8)
-            assert out["margin"] == pytest.approx(base["margin"] - dh)
+            margin = stability_condition(h0=dh, f0=1.0, lap_f0=3.0, Rg=7.0,
+                                         n=8)
+            assert margin == pytest.approx(base - dh)
+
+    def test_nodal_arrays_give_the_margin_at_each_node(self):
+        h0 = np.array([-2.0, 0.0, 1.0])
+        f0 = np.array([2.0, 1.0, 4.0])
+        lap_f0 = np.array([10.0, 0.0, -2.0])
+        margin = stability_condition(h0, f0, lap_f0, Rg=0.0, n=6)
+        assert margin.shape == (3,)
+        assert margin == pytest.approx(
+            [stability_condition(*node, Rg=0.0, n=6)
+             for node in zip(h0, f0, lap_f0)])
 
     def test_f0_positive_required(self):
-        with pytest.raises(ValueError):
-            stability_condition(h0=0.0, f0=0.0, lap_f0=0.0, Rg=1.0, n=6)
+        # at every node of an array, too
+        for f0 in (0.0, -1.0, np.nan, np.array([1.0, 0.0, 2.0])):
+            with pytest.raises(ValueError, match="f0 must be positive"):
+                stability_condition(h0=0.0, f0=f0, lap_f0=0.0, Rg=1.0, n=6)
 
 
 class TestPohozaev:

@@ -449,7 +449,7 @@ class TestInstabilityDemo:
     def test_rows_and_monotonicity(self):
         # the verify grid: at 1024 nodes the vector residual is 1.7e-5
         rows = run_instability_demo((1.1, 1.5), resolution=2048)
-        assert [r["lambda"] for r in rows] == [1.5, 1.1]
+        assert [r.lam for r in rows] == [1.5, 1.1]
         failed = [r.name for r in check_instability(rows) if not r.passed]
         assert failed == []
 
@@ -463,9 +463,19 @@ class TestVerificationSuite:
         rows = run_verification_suite("bubbles")
         assert rows and all(r.group == "bubbles" for r in rows)
 
-    def test_bad_selector_rejected(self):
-        with pytest.raises(ValueError):
-            run_verification_suite("nonexistent-group")
+    def test_bad_selector_rejected(self, monkeypatch):
+        # a selector names one group exactly: "o" is in the names
+        # diagnostics, geometry and solver, and "bubble" begins one
+        ran = []
+        monkeypatch.setattr(harness, "SUITES", {
+            group: [lambda group=group: ran.append(group) or []]
+            for group in harness.SUITES})
+        for selector in ("nonexistent-group", "o", "e", "bubble", "Green",
+                         ""):
+            with pytest.raises(ValueError) as err:
+                run_verification_suite(selector)
+            assert all(group in str(err.value) for group in harness.SUITES)
+        assert ran == []
 
     def test_injected_constant_error_fails(self, monkeypatch):
         import lichlab.bubbles as bubbles
@@ -529,9 +539,9 @@ VERIFY_ROW_NAMES = """energy_identity bubble_residual constants_c6
     pohozaev_defect pohozaev_order covariance_order instability_scalar
     instability_vector instability_cancellation instability_sup_closed_form
     instability_sup_increasing instability_data_spread
-    manufactured_iterations manufactured_u_error manufactured_W_error
-    round_trip_unconverged round_trip_hamiltonian_order
-    round_trip_momentum_order""".split()
+    instability_stability_margin manufactured_iterations
+    manufactured_u_error manufactured_W_error round_trip_unconverged
+    round_trip_hamiltonian_order round_trip_momentum_order""".split()
 
 
 class TestOutputs:
@@ -607,9 +617,24 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "stability_coef(6) = 0.2" in out
 
+    def test_cli_instability3_csv_has_the_report_fields(self, tmp_path):
+        out = tmp_path / "blowup"
+        assert cli_main(["instability3", "--lambdas", "1.5",
+                         "--resolution", "2048", "--out", str(out)]) == 0
+        header, row = (tmp_path / "blowup.csv").read_text().splitlines()
+        assert header.split(",") == [
+            "lam", "scalar_residual", "vector_residual", "sup_phi",
+            "sup_phi_closed_form", "norm_U", "norm_Y", "cancellation",
+            "stability_margin"]
+        assert row.startswith("1.5,")
+
     @pytest.mark.parametrize("argv", [
         ["instability3", "--lambdas", "1.5,1.5"],
         ["instability3", "--lambdas", "1.5,x"],
+        # C2 overflows to -inf at n = 142, and a power raises OverflowError
+        # at n = 144
+        ["constants", "--n", "142"],
+        ["constants", "--n", "144"],
         ["sweep", "--config", "missing.ini"],
         ["sweep", "--config", "short.ini"],
     ])
@@ -735,6 +760,10 @@ class TestMalformedInput:
         "[geometry]\n[data]\n[solver]\nmax_outer = 0\n",
         "[geometry]\n[data]\n[solver]\nu_floor = inf\n",
         "[geometry]\n[data]\n[solver]\nmax_newton = 0\n",
+        "[geometry]\n[data]\n[schedule]\nvanish_threshold = nan\n",
+        "[geometry]\n[data]\n[schedule]\nvanish_threshold = inf\n",
+        "[geometry]\n[data]\n[schedule]\nvanish_threshold = 0\n",
+        "[geometry]\n[data]\n[schedule]\nvanish_threshold = -1e-3\n",
     ])
     def test_malformed_config_raises_value_error(self, tmp_path, text):
         path = tmp_path / "bad.ini"

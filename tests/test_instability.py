@@ -1,22 +1,37 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
 from lichlab.geometry import (
     GeometryMismatch,
+    ScalarField,
     SphereRadial,
     conformal_killing_deriv,
 )
+from lichlab.harness import check_instability
 from lichlab.instability import (
     EtaParams,
     assemble,
-    homogeneous_solutions,
     phi_bubble_sphere,
     solve_Z,
     sphere_yamabe_residual,
     verify,
 )
 from lichlab.solver import momentum_residual_field
+
+
+def homogeneous_solutions(r):
+    """Closed-form solutions of the homogeneous radial one-form equation.
+
+    Returns (Z1, Z2) with Z1(pi/2) = 1, Z1'(pi/2) = 0 and Z2(pi/2) = 0,
+    Z2'(pi/2) = -1.
+    """
+    r = np.asarray(r, dtype=float)
+    z1 = np.sin(r)
+    z2 = np.cos(r) + np.cos(r) ** 3 / (3.0 * np.sin(r) ** 2)
+    return z1, z2
 
 
 class TestSphereBubble:
@@ -169,6 +184,16 @@ class TestVerify:
         rep = verify(assemble(1.5, geometry=SphereRadial(1024)))
         assert rep.sup_phi == pytest.approx(2.5 ** 0.25 / 0.5 ** 0.25,
                                             rel=1e-12)
+
+    def test_margin_row_fails_off_the_bound(self, asm):
+        # a mutant family with h = 3/4 + 1e-6 has margin -1e-6 at every
+        # node, and no other row of the check sees it
+        mutant = replace(asm, C=replace(
+            asm.C, h=ScalarField.constant(asm.geometry, 0.75 + 1e-6)))
+        rep = verify(mutant)
+        assert rep.stability_margin == pytest.approx(1e-6, rel=1e-3)
+        failed = [r.name for r in check_instability([rep]) if not r.passed]
+        assert failed == ["instability_stability_margin"]
 
     def test_family_converges_as_lam_decreases(self):
         # Cauchy differences of U and Y between successive lam values

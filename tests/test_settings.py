@@ -1,8 +1,8 @@
 """Repository settings: the pytest settings and dependency floors in
 pyproject.toml, no unused imports in the package, its tests and its demos,
-no stale ``__all__`` entry in the package, every function and field class
-the benchmark tracer wraps still in the package under its name, and the
-three quick demos run without a warning."""
+no stale ``__all__`` entry in the package and none that only tests read,
+every function and field class the benchmark tracer wraps still in the
+package under its name, and the three quick demos run without a warning."""
 
 import ast
 import importlib.util
@@ -101,13 +101,49 @@ def test_every_name_in_all_resolves():
     assert not stale, stale
 
 
-def test_every_traced_name_resolves():
-    # perfbench's tracer wraps these by name; one that is gone would fail
-    # only in a traced benchmark run
+def read_names(path):
+    """Every name a module loads, as a bare name or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def load_tracing():
     spec = importlib.util.spec_from_file_location(
         "tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is code in src/, demos/ or perfbench/ outside a test, or the
+    # benchmark tracer, which wraps its PACKAGE_TARGETS by name; a name only
+    # tests read belongs in the test that reads it
+    readers = [p for d in ("src", "demos", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))
+               if "tests" not in p.relative_to(ROOT).parts]
+    assert len(readers) > 15
+    read = set().union(*map(read_names, readers))
+    read.update(*load_tracing().PACKAGE_TARGETS.values())
+    unread = []
+    for path in sorted((ROOT / "src" / "lichlab").glob("*.py")):
+        name = "lichlab" if path.stem == "__init__" else f"lichlab.{path.stem}"
+        mod = importlib.import_module(name)
+        unread += [f"{name}.{entry}" for entry in getattr(mod, "__all__", ())
+                   if entry not in read]
+    assert not unread, unread
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer wraps these by name; one that is gone would fail
+    # only in a traced benchmark run
+    tracing = load_tracing()
     assert len(tracing.PACKAGE_TARGETS) > 5
     stale = [f"lichlab.{module}.{name}"
              for module, names in tracing.PACKAGE_TARGETS.items()

@@ -195,6 +195,11 @@ class TestCoercivity:
         assert not caught
 
 
+# hypothesis examples per dimension for the torus property tests; an n = 5
+# example on 8^5 costs about four times one on 8^4
+EXAMPLES = {3: 25, 4: 25, 5: 6}
+
+
 def fold(n, h, f):
     """(t*, a*): for constant data on the torus, h t = f t^{2*-1} +
     a t^{-2*-1} has positive roots exactly when a <= a*, the balance's
@@ -371,26 +376,30 @@ class TestScalar:
 class TestExistenceEdge:
     """The constant-data edge of existence as an exact oracle."""
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @settings(max_examples=25, deadline=None)
-    @given(h=st.floats(0.25, 4.0), f=st.floats(0.25, 4.0),
-           ratio=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 2.0)))
-    def test_solution_below_the_fold_and_none_above(self, n, h, f, ratio):
-        t_star, a_star = fold(n, h, f)
-        b = ratio * a_star
-        C = make_coeffs(Torus(n, 8), h=h, f=f, b=b)
-        if ratio > 1.0:
-            # the default start is the balance's maximum, the closest
-            # approach, so no step of the first Newton pass can reduce
-            # the residual
-            with pytest.raises(NewtonDivergedError, match=r"Newton step 0\)"):
-                solve_system(C)
-            return
-        smaller = smaller_root(n, h, f, b)
-        sol = solve_system(C)
-        assert sol.converged
-        assert np.max(sol.u.values) < t_star
-        assert np.max(np.abs(sol.u.values - smaller)) < 1e-9 * smaller
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_solution_below_the_fold_and_none_above(self, n):
+        @settings(max_examples=EXAMPLES[n], deadline=None)
+        @given(h=st.floats(0.25, 4.0), f=st.floats(0.25, 4.0),
+               ratio=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 2.0)))
+        def check(h, f, ratio):
+            t_star, a_star = fold(n, h, f)
+            b = ratio * a_star
+            C = make_coeffs(Torus(n, 8), h=h, f=f, b=b)
+            if ratio > 1.0:
+                # the default start is the balance's maximum, the closest
+                # approach, so no step of the first Newton pass can reduce
+                # the residual
+                with pytest.raises(NewtonDivergedError,
+                                   match=r"Newton step 0\)"):
+                    solve_system(C)
+                return
+            smaller = smaller_root(n, h, f, b)
+            sol = solve_system(C)
+            assert sol.converged
+            assert np.max(sol.u.values) < t_star
+            assert np.max(np.abs(sol.u.values - smaller)) < 1e-9 * smaller
+
+        check()
 
 
 class TestFourierCoordinates:
@@ -451,42 +460,48 @@ class TestContract:
     max_outer Newton steps, or returns a positive solution whose residuals are
     below the tolerance."""
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @settings(max_examples=25, deadline=None)
-    @given(h=st.tuples(st.floats(-0.5, 2.0), st.floats(-1.0, 1.0)),
-           f=st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 0.5)),
-           b=st.floats(0.0, 0.5), data=st.data())
-    def test_typed_failure_or_certified_solution(self, n, h, f, b, data):
-        # h = h0 + h1 cos x, f = f0 + f1 cos y, and X, Y single sine modes
-        g = Torus(n, 8)
-        x = g.coords()
-        zero = np.zeros(g.grid_shape)
-        forms = []
-        for _ in range(2):
-            comp, axis = data.draw(st.tuples(st.integers(0, n - 1),
-                                             st.integers(0, n - 1)))
-            vals = np.zeros(g.one_form_shape)
-            vals[comp] = data.draw(st.floats(-1.0, 1.0)) * np.sin(x[axis])
-            forms.append(OneFormField(g, vals))
-        C = make_coeffs(g, h=h[0] + h[1] * np.cos(x[0]) + zero,
-                        f=f[0] + f[1] * np.cos(x[1]) + zero, b=b,
-                        X=forms[0], Y=forms[1])
-        opts = SolveOptions(max_outer=40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                sol = solve_system(C, opts)
-            except solver.SolverError:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_typed_failure_or_certified_solution(self, n):
+        @settings(max_examples=EXAMPLES[n], deadline=None)
+        @given(h=st.tuples(st.floats(-0.5, 2.0), st.floats(-1.0, 1.0)),
+               f=st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 0.5)),
+               b=st.floats(0.0, 0.5), data=st.data())
+        def check(h, f, b, data):
+            # h = h0 + h1 cos x, f = f0 + f1 cos y, and X, Y single sine
+            # modes
+            g = Torus(n, 8)
+            x = g.coords()
+            zero = np.zeros(g.grid_shape)
+            forms = []
+            for _ in range(2):
+                comp, axis = data.draw(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(0, n - 1)))
+                vals = np.zeros(g.one_form_shape)
+                vals[comp] = (data.draw(st.floats(-1.0, 1.0))
+                              * np.sin(x[axis]))
+                forms.append(OneFormField(g, vals))
+            C = make_coeffs(g, h=h[0] + h[1] * np.cos(x[0]) + zero,
+                            f=f[0] + f[1] * np.cos(x[1]) + zero, b=b,
+                            X=forms[0], Y=forms[1])
+            opts = SolveOptions(max_outer=40)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    sol = solve_system(C, opts)
+                except solver.SolverError:
+                    return
+            if not sol.converged:
+                assert sol.iterations == opts.max_outer
                 return
-        if not sol.converged:
-            assert sol.iterations == opts.max_outer
-            return
-        assert np.min(sol.u.values) > 0.0
-        for reported, fresh in (
-                (sol.scalar_residual, scalar_residual_field(sol.u, sol.W, C)),
-                (sol.momentum_residual,
-                 momentum_residual_field(sol.u, sol.W, C))):
-            assert reported == np.max(np.abs(fresh)) < opts.tol_residual
+            assert np.min(sol.u.values) > 0.0
+            for reported, fresh in (
+                    (sol.scalar_residual,
+                     scalar_residual_field(sol.u, sol.W, C)),
+                    (sol.momentum_residual,
+                     momentum_residual_field(sol.u, sol.W, C))):
+                assert reported == np.max(np.abs(fresh)) < opts.tol_residual
+
+        check()
 
 
 class TestSystem:
