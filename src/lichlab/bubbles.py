@@ -175,26 +175,25 @@ def _bracket_second_order(n, zeta_k, zhat, k):
             + zeta_k[k] * (d - (n - 2.0) * np.outer(zhat, zhat)))
 
 
-def asympt_LV(d: DirectionData, p: BubbleParams, z):
-    """Leading far-field Killing derivative of the first-order form."""
+def _far_field(p: BubbleParams, z):
+    """(|z|, z / |z|, blowup_constants) of a far-field point z != 0."""
     z = np.asarray(z, dtype=float)
     r = np.linalg.norm(z)
     if r == 0.0:
         raise ValueError("z must be nonzero")
-    zhat = z / r
-    c = blowup_constants(p.n)
+    return r, z / r, blowup_constants(p.n)
+
+
+def asympt_LV(d: DirectionData, p: BubbleParams, z):
+    """Leading far-field Killing derivative of the first-order form."""
+    r, zhat, c = _far_field(p, z)
     return (d.eps * c.C1 * p.f_center ** (-p.n / 2.0) * r ** (1.0 - p.n)
             * _bracket_first_order(p.n, d.zeta0, zhat))
 
 
 def asympt_LP(d: DirectionData, p: BubbleParams, z, k):
     """Second-order far-field term for the k-th moment one-form."""
-    z = np.asarray(z, dtype=float)
-    r = np.linalg.norm(z)
-    if r == 0.0:
-        raise ValueError("z must be nonzero")
-    zhat = z / r
-    c = blowup_constants(p.n)
+    r, zhat, c = _far_field(p, z)
     return (d.beta_k[k] * c.C2 * p.f_center ** (-(p.n + 2.0) / 2.0)
             * p.mu ** 2 * r ** (-p.n)
             * _bracket_second_order(p.n, d.zeta_k[k], zhat, k))
@@ -238,6 +237,7 @@ def _moment_quadrature(p, z, vec, moment_axis=None):
     partition-of-unity patch around the kernel singularity; m = 1 or y_k."""
     n = p.n
     z = np.asarray(z, dtype=float)
+    vec = np.asarray(vec, dtype=float)
     dist = np.linalg.norm(z - p.center)
     if dist == 0.0:
         raise ValueError("z must differ from the bubble center")
@@ -277,11 +277,8 @@ def quad_LV(X0, p: BubbleParams, z):
     """Killing derivative at z of the first-order convolution one-form.
 
     X0 is the (unnormalized) one-form coefficient at the center; the result
-    is an (n, n) matrix, linear in it.
+    is an (n, n) matrix, linear in X0 at every amplitude (zero for X0 = 0).
     """
-    X0 = np.asarray(X0, dtype=float)
-    if np.allclose(X0, 0.0):
-        return np.zeros((p.n, p.n))
     return _moment_quadrature(p, z, X0)
 
 
@@ -289,9 +286,7 @@ def quad_LP(dX0_k, p: BubbleParams, z, k):
     """Killing derivative at z of the k-th first-moment convolution one-form.
 
     dX0_k is the (unnormalized) k-th directional derivative of the one-form
-    coefficient at the center; the result is an (n, n) matrix.
+    coefficient at the center; the result is an (n, n) matrix, linear in
+    dX0_k at every amplitude (zero for dX0_k = 0).
     """
-    dX0_k = np.asarray(dX0_k, dtype=float)
-    if np.allclose(dX0_k, 0.0):
-        return np.zeros((p.n, p.n))
     return _moment_quadrature(p, z, dX0_k, moment_axis=k)

@@ -34,6 +34,17 @@ from .harness import (
 __all__ = ["main"]
 
 
+def _write_out(out, rows, verdict, config_hash="", extra=None,
+               paths=(None, None)):
+    """Write rows to <out>.csv and the verdict to <out>.json; without out,
+    to the (csv, json) paths, skipping an empty one."""
+    csv_path, json_path = (out + ".csv", out + ".json") if out else paths
+    if csv_path:
+        write_csv(csv_path, rows)
+    if json_path:
+        write_json_summary(json_path, verdict, config_hash, extra)
+
+
 def _cmd_solve(args):
     from .conformal import normalize
     from .solver import solve_system
@@ -52,11 +63,8 @@ def _cmd_solve(args):
     }
     for key, val in row.items():
         print(f"{key} = {val}")
-    if args.out:
-        write_csv(args.out + ".csv", [row])
-        write_json_summary(args.out + ".json",
-                           "Converged" if sol.converged else "NotConverged",
-                           cfg.config_hash())
+    verdict = "Converged" if sol.converged else "NotConverged"
+    _write_out(args.out, [row], verdict, cfg.config_hash())
     return 0 if sol.converged else 1
 
 
@@ -69,14 +77,9 @@ def _cmd_sweep(args):
               f"inf_u={r.inf_u:.8f} converged={r.converged} "
               f"diff_prev={r.diff_prev:.3e} steps={r.newton_steps}")
     print(f"verdict: {report.verdict}")
-    csv_path = args.out + ".csv" if args.out else cfg.csv_path
-    json_path = args.out + ".json" if args.out else cfg.json_path
-    if csv_path:
-        write_csv(csv_path, report.rows)
-    if json_path:
-        write_json_summary(json_path, report.verdict, report.config_hash,
-                           extra={"base_regime": report.base_regime,
-                                  "note": report.note})
+    _write_out(args.out, report.rows, report.verdict, report.config_hash,
+               extra={"base_regime": report.base_regime, "note": report.note},
+               paths=(cfg.csv_path, cfg.json_path))
     return 0 if report.verdict != "NonConvergent" else 1
 
 
@@ -98,9 +101,7 @@ def _cmd_instability3(args):
               f"scalar={r.scalar_residual:.3e} "
               f"vector={r.vector_residual:.3e}")
     ok = _print_checks(check_instability(rows))
-    if args.out:
-        write_csv(args.out + ".csv", rows)
-        write_json_summary(args.out + ".json", "Pass" if ok else "Fail")
+    _write_out(args.out, rows, "Pass" if ok else "Fail")
     print(f"blow-up demo: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 
@@ -108,9 +109,7 @@ def _cmd_instability3(args):
 def _cmd_verify(args):
     rows = run_verification_suite(args.select)
     ok = _print_checks(rows)
-    if args.out:
-        write_csv(args.out + ".csv", rows)
-        write_json_summary(args.out + ".json", "Pass" if ok else "Fail")
+    _write_out(args.out, rows, "Pass" if ok else "Fail")
     print(f"{sum(r.passed for r in rows)}/{len(rows)} checks passed")
     return 0 if ok else 1
 

@@ -172,15 +172,6 @@ def _sym_rows(n):
     return [[pos[i, j] for j in range(n)] for i in range(n)]
 
 
-def _unpack_sym(packed, n):
-    """Packed symmetric components (m, ...) to the full array (n, n, ...)."""
-    out = np.zeros((n, n) + packed.shape[1:])
-    for a, (i, j) in enumerate(sym_index(n)):
-        out[i, j] = packed[a]
-        out[j, i] = packed[a]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # geometries
 # ---------------------------------------------------------------------------
@@ -538,10 +529,6 @@ class SymTensorField(_Field):
 
     def __post_init__(self):
         self._check()
-
-    def full(self):
-        """Expand packed components to shape (n, n, *grid)."""
-        return _unpack_sym(self.values, self.geometry.dimension)
 
 
 def tensor_norm_squared(T):

@@ -54,21 +54,28 @@ def _kelvin(n):
     return _kappa(n), (3.0 * n - 2.0) / (n - 2.0)
 
 
-def fundamental(y, n):
-    """Kelvin matrix G(y), shape (..., n, n); raises at y = 0."""
+def _kelvin_frame(y, n):
+    """The prologue every Kelvin kernel shares, at separations y of shape
+    (..., n): (kappa, A, |y|, y / |y|), with the n >= 3 check of
+    ``_kelvin``; raises at y = 0."""
     kappa, A = _kelvin(n)
     y = np.asarray(y, dtype=float)
     r = np.linalg.norm(y, axis=-1)
     if np.any(r == 0.0):
-        raise ValueError("fundamental solution is singular at y = 0")
-    yh = y / r[..., None]
+        raise ValueError("the Kelvin kernel is singular at zero separation")
+    return kappa, A, r, y / r[..., None]
+
+
+def fundamental(y, n):
+    """Kelvin matrix G(y), shape (..., n, n); raises for n < 3 and at y = 0."""
+    kappa, A, r, yh = _kelvin_frame(y, n)
     out = A * np.eye(n) + (n - 2.0) * yh[..., :, None] * yh[..., None, :]
     return kappa * r[..., None, None] ** (2.0 - n) * out
 
 
 def fundamental_contraction(w, vec, weights):
     """sum_M c_M G(w_M) vec_M, shape (n,), for w and vec of shape (M, n)
-    and weights c of shape (M,); raises at w = 0.
+    and weights c of shape (M,); raises for n < 3 and at w = 0.
 
     With G from ``fundamental``, the sum is
 
@@ -76,20 +83,15 @@ def fundamental_contraction(w, vec, weights):
 
     A = (3n-2)/(n-2), built without the (M, n, n) matrices.
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[-1]
-    kappa, A = _kelvin(n)
-    r = np.linalg.norm(w, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("fundamental solution is singular at w = 0")
-    wh = w / r[:, None]
+    n = np.shape(w)[-1]
+    kappa, A, r, wh = _kelvin_frame(w, n)
     c = kappa * r ** (2.0 - n) * weights
     return A * (c @ vec) + (n - 2.0) * ((c * np.sum(wh * vec, axis=1)) @ wh)
 
 
 def stress_contraction(w, vec, weights):
     """sum_M c_M H_{ij,p}(w_M) vec^p, shape (n, n), for w = x - y of shape
-    (M, n) and weights c of shape (M,).
+    (M, n) and weights c of shape (M,); raises for n < 3 and at x = y.
 
     H is the Killing-derivative stress of the fundamental matrix,
     H_{ij,p} = d_i G_j(w)_p + d_j G_i(w)_p - (2/n) d_ij sum_k d_k G_k(w)_p
@@ -99,16 +101,12 @@ def stress_contraction(w, vec, weights):
                                         - (n-2) w^_i w^_j w^_p].
 
     The sum is built from the weighted sums of the bracket's terms, without
-    the (M, n, n) stresses.
+    the (M, n, n) stresses.  It is linear in vec.
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[-1]
-    r = np.linalg.norm(w, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("stress kernel is singular at x = y")
-    wh = w / r[:, None]
+    n = np.shape(w)[-1]
+    kappa, _, r, wh = _kelvin_frame(w, n)
     zd = wh @ vec
-    c = 2.0 * n * _kappa(n) * r ** (1.0 - n) * weights
+    c = 2.0 * n * kappa * r ** (1.0 - n) * weights
     c_w = c @ wh
     return (np.eye(n) * (c @ zd)
             - c_w[:, None] * vec
@@ -118,7 +116,8 @@ def stress_contraction(w, vec, weights):
 
 def stress_kernel(x, y, n):
     """Full stress H_{ij,p}(x, y) at one pair of points, shape (n, n, n):
-    the contraction with each basis vector e_p, stacked on the last axis."""
+    the contraction with each basis vector e_p, stacked on the last axis;
+    raises for n < 3 and at x = y."""
     w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return np.stack([stress_contraction(w[None], e, np.ones(1))
                      for e in np.eye(n)], axis=-1)

@@ -273,6 +273,12 @@ class SweepConfig:
     config_text: str = ""
 
     def __post_init__(self):
+        for a in self.alphas:
+            # 2^-alpha overflows from alpha = -1024 down and rounds to 0.0
+            # from 1075 up
+            if not -1024 < a < 1075:
+                raise ValueError(f"alpha {a} gives eps = 2^-alpha outside "
+                                 "the positive finite doubles")
         eps = self.epsilons
         if len(eps) < 3:
             # the verdict compares the last three rows' diff_prev
@@ -539,8 +545,8 @@ def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
     from .instability import assemble, verify
 
     lambdas = sorted(lambdas, reverse=True)
-    if any(lam <= 1.0 for lam in lambdas):
-        raise ValueError("all lambda values must exceed 1")
+    if not all(1.0 < lam < math.inf for lam in lambdas):
+        raise ValueError("all lambda values must be finite and exceed 1")
     if len(set(lambdas)) < len(lambdas):
         raise ValueError("lambda values must be distinct")
     return [verify(assemble(lam, geometry=SphereRadial(resolution)))
@@ -575,6 +581,14 @@ def _check(name, group, measured, tolerance):
     return CheckRow(name=name, group=group, measured=float(measured),
                     tolerance=float(tolerance),
                     passed=bool(measured < tolerance))
+
+
+def _order_check(name, group, factor, coarse, fine):
+    """The refinement-order row: each defect in coarse falls at least
+    factor-fold to its partner in fine, one refinement later.  It measures
+    factor over the slowest coarse/fine ratio, which passes below 1."""
+    slowest = min(a / b for a, b in zip(coarse, fine))
+    return _check(name, group, factor / max(slowest, 1e-300), 1.0)
 
 
 def check_energy_identity(resolution, draws, band):
@@ -693,10 +707,9 @@ def check_pohozaev(grids):
             b=ScalarField.constant(g, 0.0), U=SymTensorField.zero(g),
             X=OneFormField.zero(g), Y=OneFormField.zero(g), gamma=1.0)
         defects.append(pohozaev_defect(v, C, np.zeros(3), 1.0).defect)
-    slowest = min(a / b for a, b in zip(defects[:-1], defects[1:]))
     return [_check("pohozaev_defect", "diagnostics", defects[-1], 1e-6),
-            _check("pohozaev_order", "diagnostics",
-                   16.0 / max(slowest, 1e-300), 1.0)]
+            _order_check("pohozaev_order", "diagnostics", 16.0,
+                         defects[:-1], defects[1:])]
 
 
 def _suite_covariance():
@@ -717,9 +730,7 @@ def _suite_covariance():
         Xv[2] = 0.2 * x[0] * x[1] + 0 * x[2]
         out.append(conformal_covariance_residuals(
             v, OneFormField(g, Xv), phi))
-    worst_ratio = min(a / b for a, b in zip(*out))
-    return [_check("covariance_order", "diagnostics",
-                   8.0 / max(worst_ratio, 1e-300), 1.0)]
+    return [_order_check("covariance_order", "diagnostics", 8.0, *out)]
 
 
 def _bump(pts):
@@ -861,10 +872,9 @@ def check_round_trip(grids):
         defects.append(constraint_residuals(reconstruct(sol.u, sol.W, D),
                                             D.potential))
     rows = [_check("round_trip_unconverged", "solver", unconverged, 0.5)]
-    for k, name in enumerate(("hamiltonian", "momentum")):
-        slowest = min(a[k] / b[k] for a, b in zip(defects[:-1], defects[1:]))
-        rows.append(_check(f"round_trip_{name}_order", "solver",
-                           3.0 / max(slowest, 1e-300), 1.0))
+    for name, per_grid in zip(("hamiltonian", "momentum"), zip(*defects)):
+        rows.append(_order_check(f"round_trip_{name}_order", "solver", 3.0,
+                                 per_grid[:-1], per_grid[1:]))
     return rows
 
 

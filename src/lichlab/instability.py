@@ -64,9 +64,10 @@ __all__ = [
 
 
 def phi_bubble_sphere(n, lam, r_dist):
-    """Sphere bubble at geodesic distance r_dist from the concentration pole."""
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    """Sphere bubble at geodesic distance r_dist from the concentration pole;
+    ValueError unless 1 < lam < inf."""
+    if not 1.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     r_dist = np.asarray(r_dist, dtype=float)
     return ((lam ** 2 - 1.0) ** ((n - 2.0) / 4.0)
             * (lam - np.cos(r_dist)) ** ((2.0 - n) / 2.0))
@@ -214,9 +215,8 @@ class InstabilityReport:
 
 
 def assemble(lam, eta_params: EtaParams = None, geometry: SphereRadial = None):
-    """Build the S^3 blow-up family member at the given lam > 1."""
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    """Build the S^3 blow-up family member at the given lam, 1 < lam < inf;
+    ``phi_bubble_sphere`` rejects any other lam before ``solve_Z`` runs."""
     eta_params = eta_params or EtaParams()
     g = geometry or SphereRadial(4096)
     r = g.r

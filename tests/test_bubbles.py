@@ -107,7 +107,6 @@ class TestAsymptotics:
         d = DirectionData(eps=1.0, beta_k=np.zeros(3),
                           zeta0=np.array([0.0, 1.0, 0.0]), zeta_k=np.eye(3))
         assert np.allclose(asympt_LP(d, params, np.ones(3), 1), 0.0)
-        assert np.allclose(quad_LP(np.zeros(3), params, np.ones(3), 1), 0.0)
 
     def test_second_order_decay_rate(self, params, direction):
         z = np.array([0.4, 0.1, -0.2])
@@ -122,11 +121,30 @@ class TestAsymptotics:
         assert np.allclose(M2, M1 / 2 ** 2)
 
 
+@pytest.fixture(scope="module")
+def far_point(params):
+    z = np.array([0.3, -0.2, 1.0])
+    return 50.0 * params.mu * z / np.linalg.norm(z)
+
+
+@pytest.fixture(scope="module")
+def unit_quadratures(params, far_point):
+    v = np.array([0.6, -0.8, 0.0])
+    return v, quad_LV(v, params, far_point), quad_LP(v, params, far_point, 1)
+
+
 class TestQuadrature:
-    def test_zero_coefficient(self, params):
-        out = quad_LV(np.zeros(3), params, np.array([1.0, 0, 0]))
-        assert out.shape == (3, 3)
-        assert np.allclose(out, 0.0)
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e3])
+    def test_linear_at_every_amplitude(self, params, far_point,
+                                       unit_quadratures, s):
+        # the far-field expansions scale with the coefficient, so a tiny
+        # coefficient gives a tiny matrix, not zeros
+        v, LV, LP = unit_quadratures
+        assert LV.shape == LP.shape == (3, 3)
+        np.testing.assert_allclose(quad_LV(s * v, params, far_point), s * LV,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(quad_LP(s * v, params, far_point, 1),
+                                   s * LP, rtol=1e-12, atol=0.0)
 
     def test_traceless_symmetric(self, params, direction):
         z = 60 * params.mu * np.array([0.5, 0.5, 1.0]) / np.sqrt(1.5)

@@ -20,6 +20,7 @@ from lichlab.geometry import (
     SymTensorField,
     Torus,
     conformal_killing_deriv,
+    sym_index,
 )
 from lichlab.solver import SolveOptions, solve_system
 
@@ -125,9 +126,19 @@ def random_coefficients(g, rng):
         gamma=rng.uniform(0.1, 2.0))
 
 
+def unpack(T):
+    """The full (n, n, *grid) array of a packed SymTensorField, entry by
+    entry from sym_index: the reference for the packed storage."""
+    n = T.geometry.dimension
+    full = np.zeros((n, n) + T.values.shape[1:])
+    for a, (i, j) in enumerate(sym_index(n)):
+        full[i, j] = full[j, i] = T.values[a]
+    return full
+
+
 def full_norm_squared(T):
     """sum_ij T_ij^2 from the unpacked tensor."""
-    return np.sum(T.full() ** 2, axis=(0, 1))
+    return np.sum(unpack(T) ** 2, axis=(0, 1))
 
 
 class TestQuadratic:
@@ -172,7 +183,7 @@ class TestReconstruct:
         D = make_data(torus, tau=3.0)
         u = ScalarField.constant(torus, 1.0)
         ids = reconstruct(u, OneFormField.zero(torus), D)
-        K = ids.extrinsic.full()
+        K = unpack(ids.extrinsic)
         trK = np.einsum("ii...->...", K)        # conformal factor 1
         assert np.allclose(trK, 3.0)
 

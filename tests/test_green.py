@@ -173,6 +173,10 @@ class TestStressKernel:
                     Hfd[i, j] -= (2.0 / n) * np.einsum("kkp->p", dG)
         assert np.max(np.abs(H - Hfd)) < 1e-6
 
+    def test_dimension_two_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            stress_contraction(np.ones((4, 2)), np.ones(2), np.ones(4))
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_weighted_sum_of_pointwise_contractions(self, n):
         rng = np.random.default_rng(4)

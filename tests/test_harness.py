@@ -331,6 +331,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(**{**focusing_cfg.__dict__, "alphas": (3, 2, 1)})
 
+    @pytest.mark.parametrize("alphas, bad", [((-1100, 1, 2), -1100),
+                                             ((1, 2, 1075), 1075),
+                                             ((1, 1075, 1076), 1075)])
+    def test_eps_outside_the_doubles_rejected(self, focusing_cfg, alphas,
+                                              bad):
+        # 2^-alpha overflows below alpha = -1023 and rounds to 0.0 above
+        # 1074, the last subnormal
+        with pytest.raises(ValueError, match=f"^alpha {bad} gives"):
+            SweepConfig(**{**focusing_cfg.__dict__, "alphas": alphas})
+
     def test_perturbation_amplitude_tracks_derivative_order(self, focusing_cfg):
         # a tau shape with wavevector 2 has C^3 norm 8, so the applied
         # perturbation amplitude is eps / 8
@@ -456,6 +466,11 @@ class TestInstabilityDemo:
     def test_repeated_lambda_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             run_instability_demo((1.5, 1.5), resolution=1024)
+
+    @pytest.mark.parametrize("lam", [1.0, np.nan, np.inf])
+    def test_lambda_outside_the_family_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            run_instability_demo((1.5, lam), resolution=1024)
 
 
 class TestVerificationSuite:
@@ -631,18 +646,24 @@ class TestOutputs:
     @pytest.mark.parametrize("argv", [
         ["instability3", "--lambdas", "1.5,1.5"],
         ["instability3", "--lambdas", "1.5,x"],
+        ["instability3", "--lambdas", "1.5,nan"],
+        ["instability3", "--lambdas", "1.5,inf"],
         # C2 overflows to -inf at n = 142, and a power raises OverflowError
         # at n = 144
         ["constants", "--n", "142"],
         ["constants", "--n", "144"],
         ["sweep", "--config", "missing.ini"],
         ["sweep", "--config", "short.ini"],
+        ["sweep", "--config", "overflow.ini"],
     ])
     def test_cli_input_error_is_one_line(self, argv, tmp_path, monkeypatch,
                                          capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "short.ini").write_text(
             "[geometry]\nresolution = 8\n[data]\n[schedule]\nalphas = 1 2\n")
+        (tmp_path / "overflow.ini").write_text(
+            "[geometry]\nresolution = 8\n[data]\n[schedule]\n"
+            "alphas = -1100 1 2\n")
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("lichlab: error: ") and err.count("\n") == 1

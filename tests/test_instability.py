@@ -42,9 +42,13 @@ class TestSphereBubble:
         r = np.linspace(0.0, np.pi, 7)
         assert np.allclose(phi_bubble_sphere(3, 1e8, r), 1.0, rtol=1e-6)
 
-    def test_lam_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            phi_bubble_sphere(3, 1.0, 0.5)
+    @pytest.mark.parametrize("lam", [1.0, np.nan, np.inf])
+    def test_lam_must_be_finite_and_exceed_one(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            phi_bubble_sphere(3, lam, 0.5)
+        # assemble leaves the check to phi_bubble_sphere
+        with pytest.raises(ValueError, match="lam must be finite"):
+            assemble(lam, geometry=SphereRadial(64))
 
     def test_yamabe_identity_n3(self):
         assert sphere_yamabe_residual(3, 1.25) < 1e-6

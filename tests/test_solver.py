@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import lichlab.solver as solver
@@ -200,6 +200,14 @@ class TestCoercivity:
 EXAMPLES = {3: 25, 4: 25, 5: 6}
 
 
+def property_settings(n):
+    """Settings of the dimension-n torus property tests.  At n = 5 they skip
+    the shrink phase: every shrink step is another 8^5 solve, and a failing
+    case took minutes to report."""
+    phases = [p for p in Phase if n < 5 or p is not Phase.shrink]
+    return settings(max_examples=EXAMPLES[n], deadline=None, phases=phases)
+
+
 def fold(n, h, f):
     """(t*, a*): for constant data on the torus, h t = f t^{2*-1} +
     a t^{-2*-1} has positive roots exactly when a <= a*, the balance's
@@ -378,7 +386,7 @@ class TestExistenceEdge:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_solution_below_the_fold_and_none_above(self, n):
-        @settings(max_examples=EXAMPLES[n], deadline=None)
+        @property_settings(n)
         @given(h=st.floats(0.25, 4.0), f=st.floats(0.25, 4.0),
                ratio=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 2.0)))
         def check(h, f, ratio):
@@ -462,7 +470,7 @@ class TestContract:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_typed_failure_or_certified_solution(self, n):
-        @settings(max_examples=EXAMPLES[n], deadline=None)
+        @property_settings(n)
         @given(h=st.tuples(st.floats(-0.5, 2.0), st.floats(-1.0, 1.0)),
                f=st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 0.5)),
                b=st.floats(0.0, 0.5), data=st.data())
