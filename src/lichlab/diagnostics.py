@@ -27,7 +27,6 @@ built once and shared by every read of it.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ from .geometry import (
     lame,
     laplace_beltrami,
 )
-from .quadrature import ball_rule, unit_sphere_rule
+from .quadrature import _usable_cores, ball_rule, unit_sphere_rule
 
 __all__ = [
     "PohozaevReport",
@@ -125,9 +124,8 @@ def _chart_read(chart, jobs):
     for _, pts, _ in jobs:
         if id(pts) not in index:
             index[id(pts)] = (pts + chart.extent) / chart.spacing
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=min(len(jobs), cores)) as pool:
+    workers = min(len(jobs), _usable_cores())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         reads = [pool.submit(_chart_sample, values, index[id(pts)], overwrite)
                  for values, pts, overwrite in jobs]
     return [read.result() for read in reads]

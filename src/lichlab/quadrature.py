@@ -4,6 +4,8 @@ point."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from math import gamma, pi
 from scipy.special import roots_legendre, roots_gegenbauer
@@ -16,6 +18,15 @@ __all__ = [
     "ball_rule",
     "singular_shells",
 ]
+
+
+def _usable_cores():
+    """Cores this process may run on: the size of its CPU affinity set where
+    the platform reports one, else the machine's CPU count.  Sizes the
+    worker pools of the quadrature probes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sphere_area(d):

@@ -1,4 +1,3 @@
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,6 +20,7 @@ from lichlab.geometry import (
     ScalarField,
     SymTensorField,
 )
+from lichlab.quadrature import _usable_cores
 
 
 def chart_coeffs(g, h=0.0, f=0.0, b=0.0):
@@ -223,9 +223,7 @@ class TestPohozaev:
                                default.K1, default.K2, default.K3)
         assert 0.0 not in (default.K1, default.K2, default.K3)
 
-    @pytest.mark.skipif(
-        len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1) < 2, reason="needs 2 usable cores")
+    @pytest.mark.skipif(_usable_cores() < 2, reason="needs 2 usable cores")
     def test_fields_are_read_concurrently(self, monkeypatch):
         # each map_coordinates call waits for a second one in flight: a
         # loop that reads one field after another breaks the barrier

@@ -1,3 +1,5 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from math import factorial
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lichlab import green
 from lichlab.green import (
     _lame_fd,
     fundamental,
@@ -16,7 +19,7 @@ from lichlab.green import (
     stress_contraction,
     stress_kernel,
 )
-from lichlab.quadrature import ball_rule, unit_sphere_rule
+from lichlab.quadrature import _usable_cores, ball_rule, unit_sphere_rule
 
 
 def poly_bump(pts, rho=0.8):
@@ -277,3 +280,74 @@ class TestRepresentation:
         r0 = representation_residual(poly_bump, x, 3, radius=1.0, level=0)
         r1 = representation_residual(rotated, R @ x, 3, radius=1.0, level=0)
         assert 0.5 < r1 / r0 < 2.0
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.array([0.15, -0.1, 0.2])])
+    def test_one_worker_gives_the_same_result(self, monkeypatch, x):
+        # every shell's contraction is added in shell order whatever the
+        # number of workers, so the result is bit-identical
+        default = [representation_residual(poly_bump, x, 3, level=le)
+                   for le in (0, 1)]
+        monkeypatch.setattr(green, "ThreadPoolExecutor",
+                            lambda max_workers: ThreadPoolExecutor(1))
+        serial = [representation_residual(poly_bump, x, 3, level=le)
+                  for le in (0, 1)]
+        assert serial == default
+
+    @pytest.mark.skipif(_usable_cores() < 2, reason="needs 2 usable cores")
+    def test_batches_run_concurrently(self):
+        # the first two calls of X wait for each other: a loop that runs
+        # one batch after another breaks the barrier
+        barrier = threading.Barrier(2, timeout=10.0)
+        waits = iter(range(2))
+        lock = threading.Lock()
+
+        def paired(p):
+            with lock:
+                wait = next(waits, None) is not None
+            if wait:
+                barrier.wait()
+            return poly_bump(p)
+
+        threads = threading.active_count()
+        res = representation_residual(paired, np.zeros(3), 3, level=0)
+        assert res == representation_residual(poly_bump, np.zeros(3), 3,
+                                               level=0)
+        # and the pool is gone once the call returns
+        assert threading.active_count() == threads
+
+    def test_exception_from_X_propagates(self):
+        err = ArithmeticError("X failed")
+        calls = iter(range(60))
+
+        def failing(p):
+            if next(calls, None) is None:
+                raise err
+            return poly_bump(p)
+
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError) as info:
+            representation_residual(failing, np.zeros(3), 3, level=0)
+        assert info.value is err
+        assert threading.active_count() == threads
+
+    def test_each_node_evaluated_once_on_coordinate_major_points(
+            self, monkeypatch):
+        # batching whole shells leaves X 25 calls per node at n = 3 (the
+        # stencil of _lame_fd), plus X(x) itself
+        nodes, points = [], []
+        real = green.singular_shells
+
+        def counted(*args):
+            for y, wt in real(*args):
+                nodes.append(len(wt))
+                yield y, wt
+
+        def X(p):
+            assert p.ndim == 2 and p.shape[1] == 3 and p.dtype == float
+            assert p.flags.f_contiguous
+            points.append(len(p))
+            return poly_bump(p)
+
+        monkeypatch.setattr(green, "singular_shells", counted)
+        representation_residual(X, np.array([0.15, -0.1, 0.2]), 3, level=0)
+        assert sum(points) == 25 * sum(nodes) + 1

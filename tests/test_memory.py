@@ -3,7 +3,8 @@
 Budgets count real fields of the test's grid (8 * N^3 bytes for an N^3
 grid) of peak traced memory (numpy's allocations are traced) during one
 warm call: cached symbols and rules are built by a first call and not
-counted.
+counted.  The representation probe runs on no grid; its budget is in
+bytes.
 """
 
 import tracemalloc
@@ -26,20 +27,27 @@ from lichlab.geometry import (
     SymTensorField,
     Torus,
 )
-from lichlab.harness import tensor_from_recipe
+from lichlab.green import representation_residual
+from lichlab.harness import _bump, tensor_from_recipe
+from lichlab.quadrature import _usable_cores
 
 N = 32
 
 
-def warm_peak_fields(fn, n=N):
-    """Peak traced memory of the second call of fn, in n^3 fields."""
+def warm_peak_bytes(fn):
+    """Peak traced memory of the second call of fn, in bytes."""
     fn()
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1] / (8 * n ** 3)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def warm_peak_fields(fn, n=N):
+    """Peak traced memory of the second call of fn, in n^3 fields."""
+    return warm_peak_bytes(fn) / (8 * n ** 3)
 
 
 def test_killing_builds_no_full_spectrum():
@@ -94,3 +102,15 @@ def test_pohozaev_defect_splines_one_field_at_a_time():
         X=OneFormField.zero(g), Y=OneFormField.zero(g), gamma=1.0)
     assert warm_peak_fields(
         lambda: pohozaev_defect(v, C, np.zeros(3), 1.0), n=65) < 8.0
+
+
+def test_representation_streams_its_shells():
+    # the level-2 probe: each worker holds one batch of three 3200-node
+    # shells and its stencil temporaries (about 3 MB), over a base of
+    # about 1 MB.  Measured warm peaks: 1.39 MB for a serial loop over
+    # single shells, 3.8 MB on 1 worker and 6.6-6.8 MB on 2.
+    # Materialising every shell's points first costs about 34 MB more,
+    # which breaks this budget on up to 9 usable cores.
+    peak = warm_peak_bytes(lambda: representation_residual(
+        _bump, np.zeros(3), 3, radius=1.0, level=2))
+    assert peak < (2.0 + 3.5 * _usable_cores()) * 1e6
