@@ -571,10 +571,10 @@ class CheckRow:
 
 
 def _need_two(name, sizes):
-    """A refinement check compares consecutive sizes: it needs two."""
+    """A check that compares consecutive sizes or members needs two."""
     if len(sizes) < 2:
-        raise ValueError(f"a refinement check needs at least two {name}, "
-                         f"got {len(sizes)}")
+        raise ValueError(f"this check compares consecutive {name}: it needs "
+                         f"at least two, got {len(sizes)}")
 
 
 def _check(name, group, measured, tolerance):
@@ -758,8 +758,9 @@ def check_representation(finest_level):
 
 
 def check_instability(rows):
-    """Judge run_instability_demo rows: exact, sup at closed form, data flat,
-    and the data on the stability bound (margin 0 at every node)."""
+    """Judge two or more run_instability_demo rows: exact, sup at closed
+    form and increasing, data flat, and the data on the stability bound."""
+    _need_two("lambdas", rows)
     sups = [r.sup_phi for r in rows]
     totals = [r.norm_U + r.norm_Y for r in rows]
 
@@ -880,8 +881,8 @@ def check_round_trip(grids):
 
 def check_sweep(report):
     """Judge a run_sweep report: Focusing base, every row converged,
-    verdict Stable-band, and sup u spread under 10% along the schedule."""
-    sups = [r.sup_u for r in report.rows]
+    verdict Stable-band, and sup u spread under 10% (NaN if a row failed)."""
+    sups = np.array([r.sup_u for r in report.rows])
     return [
         _check("sweep_base_regime", "sweep",
                report.base_regime != "Focusing", 0.5),
@@ -889,7 +890,7 @@ def check_sweep(report):
                sum(not r.converged for r in report.rows), 0.5),
         _check("sweep_verdict", "sweep", report.verdict != "Stable-band", 0.5),
         _check("sweep_sup_spread", "sweep",
-               (max(sups) - min(sups)) / min(sups), 0.10)]
+               np.ptp(sups) / np.min(sups), 0.10)]
 
 
 SUITES = {

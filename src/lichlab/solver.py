@@ -10,7 +10,7 @@ exact and spectral, so the system is one equation F(u) = scalar
 residual(u, W(u)), solved by a Newton iteration on the scalar block that
 keeps its iterates above a fixed floor of 1e-8 and recomputes W(u) and
 a(W(u)) once at each line-search trial (Knoll and Keyes, J. Comput. Phys.
-193 (2004)); ``solve_scalar`` runs the same loop for a fixed array a.
+193 (2004)).
 ``SolveOptions`` is exactly a config's [solver] section; the start field
 is the separate ``guess`` argument.
 
@@ -86,9 +86,8 @@ class DegenerateDataError(PositivityLostError):
     """Only the zero function satisfies the scalar equation (f, a wiped out)."""
 
 
-# the floor Newton iterates stay above, and the steps of a scalar solve
+# the floor Newton iterates stay above
 _U_FLOOR = 1e-8
-_MAX_NEWTON = 40
 
 
 @dataclass
@@ -216,79 +215,6 @@ def solve_momentum(u, C):
     return lame_invert(OneFormField(C.geometry, _momentum_rhs(u, C)))
 
 
-def _newton(C, evaluate, u, tol, max_steps, damping):
-    """Newton on the residual of evaluate(u) = (a, W, kernel_defect, res)
-    from the array u, until it is below tol or after max_steps steps; each
-    line search starts from damping while it is above 1e-6 and evaluates
-    each trial once.  Returns (u, W, kernel_defect, |res|, steps), or raises
-    DegenerateDataError when degenerate data leave u at the floor."""
-    g = C.geometry
-    p = critical_exponent(g.dimension)
-    a, W, kdef, res = evaluate(u)
-    res_norm = float(np.max(np.abs(res)))
-    degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
-    steps = 0
-    while res_norm >= tol and steps < max_steps:
-        diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
-                + (p + 1.0) * a * u ** (-p - 2.0))
-        op, M = _fourier_newton_system(g, diag,
-                                       max(float(np.mean(diag)), 1e-8))
-        z, info = spla.minres(op, -g.hartley(res).reshape(-1), M=M,
-                              rtol=1e-12, maxiter=400)
-        if info != 0:
-            raise NewtonDivergedError(
-                f"MINRES failed on the Newton system (info {info}) at "
-                f"residual {res_norm:.3e}")
-        delta = g.hartley(z.reshape(g.grid_shape))
-        del a, W, res, diag, op, M, z     # lowers the trials' peak memory
-
-        t = damping if res_norm > 1e-6 else 1.0
-        for _ in range(60):
-            trial = u + t * delta
-            if np.min(trial) > _U_FLOOR:
-                a, W, kdef, res = evaluate(trial)
-                trial_norm = float(np.max(np.abs(res)))
-                if trial_norm <= res_norm * (1.0 + 1e-8):
-                    break
-                if t < 1e-6:
-                    error = DegenerateDataError if degenerate else NewtonDivergedError
-                    raise error(
-                        "line search found no step that reduces the residual "
-                        f"{res_norm:.3e} (Newton step {steps})")
-            t *= 0.5
-        else:
-            if degenerate:
-                raise DegenerateDataError(
-                    "scalar data admit only the zero solution (f <= 0, a == 0); "
-                    "iterate pinned at the floor")
-            raise PositivityLostError(
-                "line search exhausted without keeping the iterate above "
-                "the floor")
-        u, res_norm = trial, trial_norm
-        steps += 1
-    if res_norm >= tol and degenerate and np.min(u) < 10.0 * _U_FLOOR:
-        raise DegenerateDataError(
-            "scalar data admit only the zero solution; residual stationary "
-            f"at the floor (residual {res_norm:.3e})")
-    return u, W, kdef, res_norm, steps
-
-
-def solve_scalar(a, C, opts: SolveOptions, guess=None):
-    """Positivity-preserving Newton solve of the scalar equation for the
-    array a = C.quadratic(W), started from guess (see _initial_field), in
-    at most 40 steps, each with a full first trial step."""
-    g = C.geometry
-    check_coercivity(C, opts.coercivity_check)
-    u, _, _, res_norm, _ = _newton(
-        C, lambda v: (a, None, 0.0, _scalar_residual(ScalarField(g, v), a, C)),
-        _initial_field(C, guess, a), opts.tol_residual, _MAX_NEWTON, 1.0)
-    if res_norm < opts.tol_residual:
-        return ScalarField(g, u)
-    raise NewtonDivergedError(
-        f"Newton did not reach {opts.tol_residual:.1e} within "
-        f"{_MAX_NEWTON} iterations (residual {res_norm:.3e})")
-
-
 def constant_balance_root(h_bar, f_bar, a_bar, n):
     """Smallest positive root of h t = f t^{2*-1} + a t^{-2*-1}.
 
@@ -335,9 +261,10 @@ def constant_balance_root(h_bar, f_bar, a_bar, n):
     return float(0.5 * (lo + hi))
 
 
-def _initial_field(C, guess, a):
+def _initial_field(C, guess):
     """A copy of guess, which must be on C's geometry (GeometryMismatch)
-    and above the floor (ValueError); by default the constant balance root."""
+    and above the floor (ValueError); by default the constant balance root
+    at a = C.quadratic()."""
     g = C.geometry
     if guess is not None:
         _check_geometry(guess, g)
@@ -346,7 +273,7 @@ def _initial_field(C, guess, a):
         return guess.values.copy()
     root = constant_balance_root(float(np.mean(C.h.values)),
                                  float(np.mean(C.f.values)),
-                                 float(np.mean(a)),
+                                 float(np.mean(C.quadratic())),
                                  g.dimension)
     return np.full(g.grid_shape, max(root, 10.0 * _U_FLOOR))
 
@@ -355,27 +282,93 @@ def solve_system(C, opts: Optional[SolveOptions] = None, guess=None):
     """Newton solve of F(u) = scalar residual(u, W(u)), W(u) the spectral
     momentum solve, from guess (see _initial_field): at most opts.max_outer
     steps, each line search starting from opts.damping while the residual
-    is above 1e-6.  Converged when both residuals are below tol_residual.
+    is above 1e-6 and evaluating each trial once.  Converged when both
+    residuals are below tol_residual; DegenerateDataError when degenerate
+    data leave u at the floor.
     """
     opts = opts or SolveOptions()
     g = C.geometry
+    p = critical_exponent(g.dimension)
     check_coercivity(C, opts.coercivity_check)
+    u = _initial_field(C, guess)
+    field = ScalarField(g, u)
+    W, kdef = solve_momentum(field, C)
+    a = C.quadratic(W)
+    res = _scalar_residual(field, a, C)
+    res_norm = float(np.max(np.abs(res)))
+    degenerate = np.max(a) == 0.0 and np.max(C.f.values) <= 0.0
+    steps = 0
+    while res_norm >= opts.tol_residual and steps < opts.max_outer:
+        diag = (C.h.values - (p - 1.0) * C.f.values * u ** (p - 2.0)
+                + (p + 1.0) * a * u ** (-p - 2.0))
+        op, M = _fourier_newton_system(g, diag,
+                                       max(float(np.mean(diag)), 1e-8))
+        z, info = spla.minres(op, -g.hartley(res).reshape(-1), M=M,
+                              rtol=1e-12, maxiter=400)
+        if info != 0:
+            raise NewtonDivergedError(
+                f"MINRES failed on the Newton system (info {info}) at "
+                f"residual {res_norm:.3e}")
+        delta = g.hartley(z.reshape(g.grid_shape))
+        del a, W, res, diag, op, M, z     # lowers the trials' peak memory
 
-    def evaluate(values):
-        u = ScalarField(g, values)
-        W, kdef = solve_momentum(u, C)
-        a = C.quadratic(W)
-        return a, W, kdef, _scalar_residual(u, a, C)
-
-    u, W, kdef, scal_res, steps = _newton(
-        C, evaluate, _initial_field(C, guess, C.quadratic()),
-        opts.tol_residual, opts.max_outer, opts.damping)
+        t = opts.damping if res_norm > 1e-6 else 1.0
+        for _ in range(60):
+            trial = u + t * delta
+            if np.min(trial) > _U_FLOOR:
+                field = ScalarField(g, trial)
+                W, kdef = solve_momentum(field, C)
+                a = C.quadratic(W)
+                res = _scalar_residual(field, a, C)
+                trial_norm = float(np.max(np.abs(res)))
+                if trial_norm <= res_norm * (1.0 + 1e-8):
+                    break
+                if t < 1e-6:
+                    error = DegenerateDataError if degenerate else NewtonDivergedError
+                    raise error(
+                        "line search found no step that reduces the residual "
+                        f"{res_norm:.3e} (Newton step {steps})")
+            t *= 0.5
+        else:
+            if degenerate:
+                raise DegenerateDataError(
+                    "scalar data admit only the zero solution (f <= 0, a == 0); "
+                    "iterate pinned at the floor")
+            raise PositivityLostError(
+                "line search exhausted without keeping the iterate above "
+                "the floor")
+        u, res_norm = trial, trial_norm
+        steps += 1
+    if (res_norm >= opts.tol_residual and degenerate
+            and np.min(u) < 10.0 * _U_FLOOR):
+        raise DegenerateDataError(
+            "scalar data admit only the zero solution; residual stationary "
+            f"at the floor (residual {res_norm:.3e})")
     u = ScalarField(g, u)
     mom_res = float(np.max(np.abs(momentum_residual_field(u, W, C))))
-    return Solution(u=u, W=W, scalar_residual=scal_res,
+    return Solution(u=u, W=W, scalar_residual=res_norm,
                     momentum_residual=mom_res, kernel_defect=kdef,
                     iterations=steps,
-                    converged=max(scal_res, mom_res) < opts.tol_residual)
+                    converged=max(res_norm, mom_res) < opts.tol_residual)
+
+
+def solve_scalar(C, opts: SolveOptions, guess=None):
+    """The scalar equation at a = C.quadratic(): solve_system on C with
+    X = Y = 0, where W(u) = 0 and a(W(u)) is C.quadratic() exactly, so it
+    honours every SolveOptions field.  Returns u, or raises
+    NewtonDivergedError when the solve does not converge.
+
+    It stays only because the benchmark's tracer names it
+    (``perfbench/tracing.PACKAGE_TARGETS``); ROADMAP item 6 deletes both.
+    """
+    g = C.geometry
+    sol = solve_system(replace(C, X=OneFormField.zero(g),
+                               Y=OneFormField.zero(g)), opts, guess)
+    if sol.converged:
+        return sol.u
+    raise NewtonDivergedError(
+        f"Newton did not reach {opts.tol_residual:.1e} within "
+        f"{sol.iterations} iterations (residual {sol.scalar_residual:.3e})")
 
 
 def manufactured_forcing(u_star, W_star, C):

@@ -5,6 +5,7 @@ import os
 import re
 import textwrap
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestSweep:
     def test_focusing_stable_band(self, focusing_cfg):
         rows = harness.check_sweep(run_sweep(focusing_cfg))
         assert [r.name for r in rows if not r.passed] == []
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_sup_spread_fails_wherever_a_row_failed(self, position):
+        # run_sweep records a failed row's sup_u as NaN
+        sups = [1.0, 1.05]
+        sups.insert(position, float("nan"))
+        report = harness.SweepReport(
+            rows=[SimpleNamespace(sup_u=s, converged=not np.isnan(s))
+                  for s in sups],
+            verdict="NonConvergent", base_regime="Focusing", config_hash="")
+        spread, = [r for r in harness.check_sweep(report)
+                   if r.name == "sweep_sup_spread"]
+        assert np.isnan(spread.measured) and not spread.passed
 
     def test_zero_schedule_rows_identical(self, focusing_cfg):
         focusing_cfg.perturb = {}
@@ -634,16 +648,18 @@ class TestOutputs:
 
     def test_cli_instability3_csv_has_the_report_fields(self, tmp_path):
         out = tmp_path / "blowup"
-        assert cli_main(["instability3", "--lambdas", "1.5",
+        assert cli_main(["instability3", "--lambdas", "1.25,1.5",
                          "--resolution", "2048", "--out", str(out)]) == 0
-        header, row = (tmp_path / "blowup.csv").read_text().splitlines()
+        header, *rows = (tmp_path / "blowup.csv").read_text().splitlines()
         assert header.split(",") == [
             "lam", "scalar_residual", "vector_residual", "sup_phi",
             "sup_phi_closed_form", "norm_U", "norm_Y", "cancellation",
             "stability_margin"]
-        assert row.startswith("1.5,")
+        assert [row.split(",")[0] for row in rows] == ["1.5", "1.25"]
 
     @pytest.mark.parametrize("argv", [
+        # the blow-up check compares consecutive members of the family
+        ["instability3", "--lambdas", "1.5", "--resolution", "2048"],
         ["instability3", "--lambdas", "1.5,1.5"],
         ["instability3", "--lambdas", "1.5,x"],
         ["instability3", "--lambdas", "1.5,nan"],

@@ -192,12 +192,19 @@ class TestVerify:
     def test_margin_row_fails_off_the_bound(self, asm):
         # a mutant family with h = 3/4 + 1e-6 has margin -1e-6 at every
         # node, and no other row of the check sees it
-        mutant = replace(asm, C=replace(
-            asm.C, h=ScalarField.constant(asm.geometry, 0.75 + 1e-6)))
-        rep = verify(mutant)
-        assert rep.stability_margin == pytest.approx(1e-6, rel=1e-3)
-        failed = [r.name for r in check_instability([rep]) if not r.passed]
+        reps = []
+        for member in (assemble(1.5, geometry=asm.geometry), asm):
+            reps.append(verify(replace(member, C=replace(
+                member.C, h=ScalarField.constant(asm.geometry, 0.75 + 1e-6)))))
+            assert reps[-1].stability_margin == pytest.approx(1e-6, rel=1e-3)
+        failed = [r.name for r in check_instability(reps) if not r.passed]
         assert failed == ["instability_stability_margin"]
+
+    def test_check_needs_two_members(self, asm):
+        # sup_increasing and data_spread compare consecutive members
+        for reps in ([], [verify(asm)]):
+            with pytest.raises(ValueError, match="at least two"):
+                check_instability(reps)
 
     def test_family_converges_as_lam_decreases(self):
         # Cauchy differences of U and Y between successive lam values

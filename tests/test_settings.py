@@ -43,7 +43,7 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
 
 
 # the oldest releases with the calls the package makes: np.trapezoid
-# (SphereRadial.integrate) and minres(rtol=...) (solve_scalar)
+# (SphereRadial.integrate) and minres(rtol=...) (solve_system)
 NEEDED_FLOORS = {"numpy": (2, 0), "scipy": (1, 12)}
 
 

@@ -229,10 +229,16 @@ class TestScalar:
     def test_degenerate_data_flagged(self, torus16):
         C = make_coeffs(torus16, h=1.0, f=0.0, b=0.0)
         with pytest.raises(DegenerateDataError):
-            solve_scalar(C.quadratic(), C, SolveOptions())
+            solve_scalar(C, SolveOptions())
         # the coupled solve runs its steps down to the floor and says why
         with pytest.raises(DegenerateDataError, match="stationary"):
             solve_system(C)
+
+    def test_max_outer_bounds_the_scalar_solve(self, torus16):
+        # one full Newton step from 2.0 does not reach the constant root
+        with pytest.raises(NewtonDivergedError, match="within 1 iter"):
+            solve_scalar(make_coeffs(torus16), SolveOptions(max_outer=1),
+                         guess=ScalarField.constant(torus16, 2.0))
 
     def test_krylov_failure_raises(self, torus16, monkeypatch):
         # a usable step reported with a nonzero info is still a failure
@@ -244,7 +250,7 @@ class TestScalar:
         monkeypatch.setattr(solver.spla, "minres", failing)
         C = make_coeffs(torus16)
         with pytest.raises(NewtonDivergedError):
-            solve_scalar(C.quadratic(), C, SolveOptions(),
+            solve_scalar(C, SolveOptions(),
                          guess=ScalarField.constant(torus16, 2.0))
 
     def test_non_descent_step_rejected(self, torus16, monkeypatch):
@@ -261,7 +267,7 @@ class TestScalar:
         monkeypatch.setattr(solver.spla, "minres", ascent_once)
         C = make_coeffs(torus16)
         with pytest.raises(NewtonDivergedError):
-            solve_scalar(C.quadratic(), C, SolveOptions(),
+            solve_scalar(C, SolveOptions(),
                          guess=ScalarField.constant(torus16, 2.0))
         assert len(calls) == 1
 
@@ -297,8 +303,7 @@ class TestScalar:
         monkeypatch.setattr(solver.spla, "minres", flagged)
         g = Torus(3, 8)
         C = make_coeffs(g)
-        solve_scalar(C.quadratic(), C, SolveOptions(),
-                     guess=ScalarField.constant(g, 2.0))
+        solve_scalar(C, SolveOptions(), guess=ScalarField.constant(g, 2.0))
         for seen in dtypes.values():
             assert seen and set(seen) == {np.dtype(np.float64)}
 
@@ -312,8 +317,7 @@ class TestScalar:
         vals = np.ones(g.grid_shape)
         vals[1, 2, 3] = value
         guess = ScalarField(g, vals)
-        for solve in (lambda C: solve_scalar(C.quadratic(), C,
-                                             SolveOptions(), guess=guess),
+        for solve in (lambda C: solve_scalar(C, SolveOptions(), guess=guess),
                       lambda C: solve_system(C, guess=guess)):
             with pytest.raises(ValueError, match="guess"):
                 solve(make_coeffs(g))
@@ -328,7 +332,7 @@ class TestScalar:
     def test_noncoercive_rejected(self, torus16):
         C = make_coeffs(torus16, h=-1.0)
         with pytest.raises(NonCoerciveError):
-            solve_scalar(C.quadratic(), C, SolveOptions())
+            solve_scalar(C, SolveOptions())
 
     def test_manufactured_pointwise(self, torus16):
         g = torus16
@@ -336,8 +340,7 @@ class TestScalar:
         u_star = ScalarField(g, 2.0 + 0.1 * np.cos(x[0]) + np.zeros(g.grid_shape))
         C = make_coeffs(g, h=0.0, f=1.0, b=1.0)
         C = manufactured_forcing(u_star, OneFormField.zero(g), C)
-        u = solve_scalar(C.quadratic(), C,
-                         SolveOptions(coercivity_check="off"),
+        u = solve_scalar(C, SolveOptions(coercivity_check="off", damping=1.0),
                          guess=ScalarField.constant(g, 2.0))
         assert np.max(np.abs(u.values - u_star.values)) < 1e-8
 
@@ -345,7 +348,7 @@ class TestScalar:
         g = torus16
         h, f, b = 1.0, 0.25, 0.125
         C = make_coeffs(g, h=h, f=f, b=b)
-        u = solve_scalar(C.quadratic(), C, SolveOptions())
+        u = solve_scalar(C, SolveOptions(damping=1.0))
         p = critical_exponent(3)
         root = brentq(lambda t: h * t - f * t ** (p - 1) - b * t ** (-p - 1),
                       0.1, 1.2, xtol=1e-14)
@@ -513,13 +516,23 @@ class TestContract:
 
 
 class TestSystem:
-    def test_decoupled_matches_scalar(self, torus16):
-        C = make_coeffs(torus16)
-        sol = solve_system(C, SolveOptions())
-        u_direct = solve_scalar(C.quadratic(), C, SolveOptions())
-        assert sol.converged
-        assert np.max(np.abs(sol.W.values)) < 1e-14
-        assert np.max(np.abs(sol.u.values - u_direct.values)) < 1e-12
+    def test_scalar_solve_ignores_the_momentum_data(self, torus16):
+        # with X, Y != 0 the coupled solution moves, but solve_scalar's u
+        # solves the scalar equation at the fixed a = C.quadratic()
+        g = torus16
+        x = g.coords()
+        forms = np.zeros((2,) + g.one_form_shape)
+        forms[0, 0] = 0.1 * np.sin(x[0])
+        forms[1, 1] = 0.05 * np.sin(x[1])
+        C = make_coeffs(g, X=OneFormField(g, forms[0]),
+                        Y=OneFormField(g, forms[1]))
+        opts = SolveOptions(damping=1.0)
+        u = solve_scalar(C, opts)
+        res = solver._scalar_residual(u, C.quadratic(), C)
+        assert np.max(np.abs(res)) < opts.tol_residual
+        coupled = solve_system(C, opts)
+        assert coupled.converged
+        assert np.max(np.abs(coupled.u.values - u.values)) > 1e-6
 
     def test_each_trial_point_is_evaluated_once(self, torus16,
                                                 monkeypatch):
@@ -672,8 +685,8 @@ class TestSystem:
                 g, 1.5 + 0.2 * np.cos(x[0]) * np.cos(x[1]) + np.zeros(g.grid_shape))
             C = make_coeffs(g, h=0.0, f=0.25, b=0.125)
             C = manufactured_forcing(u_star, OneFormField.zero(g), C)
-            u = solve_scalar(C.quadratic(), C,
-                             SolveOptions(coercivity_check="off"),
+            u = solve_scalar(C, SolveOptions(coercivity_check="off",
+                                             damping=1.0),
                              guess=ScalarField.constant(g, 1.5))
             errs.append(np.max(np.abs(u.values - u_star.values)))
         # the discrete manufactured problem is exact at both resolutions,
