@@ -15,7 +15,7 @@ steps.
 
 from pathlib import Path
 
-from lichlab.harness import load_config, run_sweep
+from lichlab.harness import BAND_CHECK_NOTE, load_config, run_sweep
 
 config = Path(__file__).resolve().parent.parent / "configs" / "sweep_focusing.ini"
 cfg = load_config(str(config))
@@ -32,4 +32,4 @@ sups = [r.sup_u for r in report.rows]
 print(f"\nsup u spread over the schedule: "
       f"{100 * (max(sups) - min(sups)) / min(sups):.2f}%")
 print(f"verdict: {report.verdict}")
-print(f"\nnote: {report.note}")
+print(f"\nnote: {BAND_CHECK_NOTE}")

@@ -2,14 +2,15 @@
 
 The concentration model is the rescaled profile
 
-    B(x) = mu^{(n-2)/2} (mu^2 + f0/(n(n-2)) |x - x0|^2)^{1-n/2},
+    B(x) = mu^{(n-2)/2} (mu^2 + f0/(n(n-2)) |x|^2)^{1-n/2},
 
-which solves lap_xi B = f0 B^{2*-1} on R^n.  Around such a profile, the
-momentum response to a one-form coefficient X is captured by convolution
-one-forms whose conformal Killing derivatives admit explicit far-field
-expansions; both the direct quadrature (``quad_LV`` / ``quad_LP``) and the
-closed-form leading terms (``asympt_LV`` / ``asympt_LP``) are provided so
-that each can serve as the other's oracle.  The quadrature integrates
+centered at the origin, which solves lap_xi B = f0 B^{2*-1} on R^n.
+Around such a profile, the momentum response to a one-form coefficient X
+is captured by convolution one-forms whose conformal Killing derivatives
+admit explicit far-field expansions; both the direct quadrature
+(``quad_LV`` / ``quad_LP``) and the closed-form leading terms
+(``asympt_LV`` / ``asympt_LP``) are provided so that each can serve as
+the other's oracle.  The quadrature integrates
 ``green.stress_contraction``, the Lame kernel's Killing-derivative stress,
 over ``quadrature.singular_shells``: a polar patch about the evaluation
 point and bubble-centered shells, the same partition of unity as the
@@ -62,16 +63,12 @@ class BubbleParams:
     n: int
     mu: float
     f_center: float
-    center: np.ndarray = None
 
     def __post_init__(self):
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
         if self.f_center <= 0.0:
             raise ValueError("f_center must be positive")
-        c = np.zeros(self.n) if self.center is None else np.asarray(
-            self.center, dtype=float)
-        object.__setattr__(self, "center", c)
 
     @property
     def curvature_scale(self):
@@ -100,7 +97,7 @@ class DirectionData:
 def bubble(p: BubbleParams, x):
     """Profile value at point(s) x; x has shape (..., n)."""
     x = np.asarray(x, dtype=float)
-    r2 = np.sum((x - p.center) ** 2, axis=-1)
+    r2 = np.sum(x ** 2, axis=-1)
     return p.mu ** ((p.n - 2.0) / 2.0) * (
         p.mu ** 2 + p.curvature_scale * r2) ** (1.0 - p.n / 2.0)
 
@@ -108,7 +105,7 @@ def bubble(p: BubbleParams, x):
 def bubble_laplacian(p: BubbleParams, x):
     """Closed-form lap_xi of the profile (exact second derivatives)."""
     x = np.asarray(x, dtype=float)
-    r2 = np.sum((x - p.center) ** 2, axis=-1)
+    r2 = np.sum(x ** 2, axis=-1)
     base = p.mu ** 2 + p.curvature_scale * r2
     return (p.mu ** ((p.n - 2.0) / 2.0) * p.n * (p.n - 2.0)
             * p.curvature_scale * p.mu ** 2 * base ** (-p.n / 2.0 - 1.0))
@@ -215,12 +212,12 @@ _TAIL_TOL = 1.0e-6
 
 def _profile_power(p, pts):
     """B^{2*}(pts) for pts of shape (M, n)."""
-    r2 = np.sum((pts - p.center) ** 2, axis=-1)
+    r2 = np.sum(pts ** 2, axis=-1)
     return p.mu ** p.n * (p.mu ** 2 + p.curvature_scale * r2) ** (-p.n)
 
 
 def _tail_mass(p, radius, moment=0):
-    """Integral of |y - x0|^moment B^{2*} over |y - x0| > radius, closed form."""
+    """Integral of |y|^moment B^{2*} over |y| > radius, closed form."""
     n = p.n
     c = p.curvature_scale
     S = np.sqrt(c) * radius / p.mu
@@ -238,7 +235,7 @@ def _moment_quadrature(p, z, vec, moment_axis=None):
     n = p.n
     z = np.asarray(z, dtype=float)
     vec = np.asarray(vec, dtype=float)
-    dist = np.linalg.norm(z - p.center)
+    dist = np.linalg.norm(z)
     if dist == 0.0:
         raise ValueError("z must differ from the bubble center")
     rho = 0.5 * dist
@@ -265,10 +262,10 @@ def _moment_quadrature(p, z, vec, moment_axis=None):
             z, rho, _RADIAL_ORDER,
             np.concatenate([[0.0], np.geomspace(1e-3 * rho, 1.5 * rho, 12)]),
             unit_sphere_rule(n, *_PATCH_SPHERE),
-            p.center, edges, unit_sphere_rule(n, *_BULK_SPHERE)):
+            np.zeros(n), edges, unit_sphere_rule(n, *_BULK_SPHERE)):
         fac = wt * _profile_power(p, y)
         if moment_axis is not None:
-            fac = fac * (y[:, moment_axis] - p.center[moment_axis])
+            fac = fac * y[:, moment_axis]
         total += stress_contraction(z - y, vec, weights=fac)
     return total
 

@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    BAND_CHECK_NOTE,
     check_instability,
     load_config,
     run_instability_demo,
@@ -78,7 +79,8 @@ def _cmd_sweep(args):
               f"diff_prev={r.diff_prev:.3e} steps={r.newton_steps}")
     print(f"verdict: {report.verdict}")
     _write_out(args.out, report.rows, report.verdict, report.config_hash,
-               extra={"base_regime": report.base_regime, "note": report.note},
+               extra={"base_regime": report.base_regime,
+                      "note": BAND_CHECK_NOTE},
                paths=(cfg.csv_path, cfg.json_path))
     return 0 if report.verdict != "NonConvergent" else 1
 

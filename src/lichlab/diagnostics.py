@@ -1,12 +1,12 @@
 """Identity and inequality checkers.
 
 The dimensional stability margin (instability.verify reports it for the
-blow-up family, whose data sit exactly on the bound), Pohozaev balances
-on Euclidean charts, and the conformal covariance of the scalar and
-one-form operators.
+blow-up family, whose data sit exactly on the bound), the Pohozaev
+dilation balance on Euclidean charts, and the conformal covariance of the
+scalar and one-form operators.
 
-The Pohozaev balance is pure integration by parts: for any smooth v on a
-ball B(0, r),
+The Pohozaev dilation balance is pure integration by parts: for any
+smooth v on a ball B(x0, r), with x measured from the center x0,
 
     int_B (x.grad v + (n-2)/2 v) lap v dx
         = int_dB ( r/2 |grad v|^2 - (n-2)/2 v dv/dnu - r (dv/dnu)^2 ) ds,
@@ -14,11 +14,7 @@ ball B(0, r),
 with lap = -sum of second partials.  When a coefficient set is supplied,
 lap v inside the volume integral is substituted from the scalar equation's
 right-hand side, so the defect couples quadrature accuracy to how well v
-solves the equation.  A direction vector switches to the translation
-variant
-
-    int_dB ( 1/2 Y.nu |grad v|^2 - (Y.grad v) dv/dnu ) ds
-        = int_B (Y.grad v) (-h v + f v^{2*-1} + a v^{-2*-1}) dx .
+solves the equation.
 
 The fields are read off the chart by quintic splines, concurrently: one
 worker thread per usable core, with the index array of each point set
@@ -78,7 +74,7 @@ def stability_condition(h0, f0, lap_f0, Rg, n):
 
 
 # ---------------------------------------------------------------------------
-# Pohozaev balances on a chart
+# Pohozaev dilation balance on a chart
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -148,17 +144,15 @@ _RADIAL_ORDER, _PANELS = 12, 3
 _POLAR_ORDER, _AZIMUTH_ORDER = 32, 64
 
 
-def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
-                    direction=None):
-    """Both sides of the Pohozaev balance over a ball inside the chart.
+def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius):
+    """Both sides of the Pohozaev dilation balance over a ball inside the
+    chart.
 
     Returns a PohozaevReport with the interior/boundary values and the
-    interior term breakdown.  ``direction`` switches from the dilation
-    identity to the translation identity along that vector.  C must live
-    on v's chart (GeometryMismatch); the radius must be positive and the
-    center and direction n finite numbers (ValueError).  The fields are
-    read by _chart_read in two concurrent batches: v and its partials,
-    then the coefficients.
+    interior term breakdown.  C must live on v's chart (GeometryMismatch);
+    the radius must be positive and the center n finite numbers
+    (ValueError).  The fields are read by _chart_read in two concurrent
+    batches: v and its partials, then the coefficients.
     """
     g = v.geometry
     if not isinstance(g, Chart):
@@ -168,8 +162,6 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
         raise ValueError(f"need a positive radius, got {radius}")
     n = g.dimension
     center = _finite_vector(center, n, "center")
-    if direction is not None:
-        direction = _finite_vector(direction, n, "direction")
     if np.max(np.abs(center)) + radius > g.extent:
         raise ValueError("ball exceeds the chart")
     p = critical_exponent(n)
@@ -188,11 +180,8 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
 
     # interior: radial-angular quadrature with lap v from the equation
     vi, gi = vv[:m], gv[:m]
-    if direction is None:
-        mult = np.einsum("Mi,Mi->M", ball - center[None, :], gi) \
-            + 0.5 * (n - 2.0) * vi
-    else:
-        mult = gi @ direction
+    mult = np.einsum("Mi,Mi->M", ball - center[None, :], gi) \
+        + 0.5 * (n - 2.0) * vi
     hb, fb, ab = _chart_read(g, [(C.h.values, ball, False),
                                  (C.f.values, ball, False),
                                  (C.quadratic(), ball, True)])
@@ -205,11 +194,8 @@ def pohozaev_defect(v: ScalarField, C: SystemCoefficients, center, radius,
     vb, gb = vv[m:], gv[m:]
     dnu = np.einsum("Mi,Mi->M", dirs, gb)
     grad2 = np.einsum("Mi,Mi->M", gb, gb)
-    if direction is None:
-        integrand = (0.5 * radius * grad2 - 0.5 * (n - 2.0) * vb * dnu
-                     - radius * dnu ** 2)
-    else:
-        integrand = 0.5 * (dirs @ direction) * grad2 - (gb @ direction) * dnu
+    integrand = (0.5 * radius * grad2 - 0.5 * (n - 2.0) * vb * dnu
+                 - radius * dnu ** 2)
     boundary = float(np.sum(angw * integrand) * radius ** (n - 1.0))
 
     return PohozaevReport(interior=interior, boundary=boundary,

@@ -409,7 +409,6 @@ class SweepReport:
     verdict: str
     base_regime: str
     config_hash: str
-    note: str = BAND_CHECK_NOTE
 
 
 def _perturbed_data(cfg, eps):
@@ -539,8 +538,8 @@ def _classify_trajectory(cfg, rows):
 
 def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
                          resolution=4096):
-    """Assemble and verify the blow-up family at each lam, largest first;
-    returns their InstabilityReports."""
+    """Assemble and verify the blow-up family at two or more distinct lam,
+    largest first; returns their InstabilityReports."""
     from .geometry import SphereRadial
     from .instability import assemble, verify
 
@@ -549,6 +548,7 @@ def run_instability_demo(lambdas=(1.5, 1.25, 1.1, 1.05, 1.01),
         raise ValueError("all lambda values must be finite and exceed 1")
     if len(set(lambdas)) < len(lambdas):
         raise ValueError("lambda values must be distinct")
+    _need_two("lambdas", lambdas)      # check_instability compares them
     return [verify(assemble(lam, geometry=SphereRadial(resolution)))
             for lam in lambdas]
 
@@ -927,10 +927,10 @@ def run_verification_suite(selector=None):
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)            # shortest round-trip decimal
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))     # shortest round-trip decimal
     return str(value)
 
 

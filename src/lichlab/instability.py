@@ -17,7 +17,8 @@ On S^3 the construction couples phi to a radial one-form: Z solves
     Z'' + 2 cot(r) Z' + (1 - 2 cot^2 r) Z = -(3/4) phi^6,
     Z(pi/2) = 1, Z'(pi/2) = 0,
 
-and with a smooth cutoff eta supported away from both poles, the one-form
+and with the smooth plateau cutoff eta, supported on [1.2, pi - 1.2] and
+equal to 1 on [1.45, pi - 1.45] (module constants), the one-form
 W = eta Z d/dr satisfies  lame(W) = phi^6 X + Y  with X = eta d/dr and
 
     Y = -(4/3) (2 eta' Z' + eta'' Z + 2 cot(r) eta' Z) d/dr .
@@ -47,12 +48,10 @@ from .geometry import (
     conformal_killing_deriv,
     lame,
     laplace_beltrami,
-    _fd_matrix,
 )
 from .solver import _momentum_rhs, scalar_residual_field
 
 __all__ = [
-    "EtaParams",
     "InstabilityAssembly",
     "InstabilityReport",
     "phi_bubble_sphere",
@@ -73,19 +72,16 @@ def phi_bubble_sphere(n, lam, r_dist):
             * (lam - np.cos(r_dist)) ** ((2.0 - n) / 2.0))
 
 
-def sphere_yamabe_residual(n, lam, grid=None):
+def sphere_yamabe_residual(n, lam):
     """Relative FD residual of the Yamabe identity for the sphere bubble.
 
-    Computed on a radial grid with the round-S^n radial Laplacian
-    -f'' - (n-1) cot(r) f'; pins the cosine distance convention (the
-    alternative r-convention leaves an O(1) residual).
+    Computed on the radial grid of SphereRadial(4096) with the round-S^n
+    radial Laplacian -f'' - (n-1) cot(r) f'; pins the cosine distance
+    convention (the alternative r-convention leaves an O(1) residual).
     """
-    if grid is None:
-        grid = np.linspace(1e-3, np.pi - 1e-3, 4096)
-    phi = phi_bubble_sphere(n, lam, grid)
-    d1 = _fd_matrix(grid, 1)
-    d2 = _fd_matrix(grid, 2)
-    lap = -(d2 @ phi) - (n - 1.0) / np.tan(grid) * (d1 @ phi)
+    g = SphereRadial(4096)
+    phi = phi_bubble_sphere(n, lam, g.r)
+    lap = -(g.d2 @ phi) - (n - 1.0) * g.cot_r * (g.d1 @ phi)
     coef = n * (n - 2.0) / 4.0
     p = critical_exponent(n)
     res = lap + coef * phi - coef * phi ** (p - 1.0)
@@ -155,37 +151,24 @@ def _smooth_step(t):
     return S, Sp, Spp
 
 
-@dataclass(frozen=True)
-class EtaParams:
-    """Plateau cutoff: rises on [delta, delta + rise], falls symmetrically.
+# the plateau cutoff eta vanishes on [0, delta] and [pi - delta, pi], rises
+# over [delta, delta + rise] and falls over [pi - delta - fall, pi - delta].
+# Its support hugs the equator, where the sourced radial profile is pinned
+# by its initial conditions; the assembled data (U, Y) then vary by about
+# one percent along the whole blow-up family.
+_ETA_DELTA, _ETA_RISE, _ETA_FALL = 1.2, 0.25, 0.25
 
-    The default support hugs the equator, where the sourced radial profile
-    is pinned by its initial conditions; the assembled data (U, Y) then
-    vary by about one percent along the whole blow-up family.
-    """
 
-    delta: float = 1.2
-    rise: float = 0.25
-    fall: float = 0.25
-
-    def __post_init__(self):
-        if self.delta <= 0.0 or self.rise <= 0.0 or self.fall <= 0.0:
-            raise ValueError("cutoff parameters must be positive")
-        if self.delta + self.rise >= np.pi - self.delta - self.fall:
-            raise ValueError("cutoff plateau is empty")
-
-    def evaluate(self, r):
-        """eta, eta', eta'' at radial points r (analytic derivatives)."""
-        r = np.asarray(r, dtype=float)
-        s1, s1p, s1pp = _smooth_step((r - self.delta) / self.rise)
-        t2 = (np.pi - self.delta - r) / self.fall
-        s2, s2p, s2pp = _smooth_step(t2)
-        eta = s1 * s2
-        etap = s1p / self.rise * s2 - s1 * s2p / self.fall
-        etapp = (s1pp / self.rise ** 2 * s2
-                 - 2.0 * s1p * s2p / (self.rise * self.fall)
-                 + s1 * s2pp / self.fall ** 2)
-        return eta, etap, etapp
+def _cutoff(r):
+    """eta, eta', eta'' at radial points r (analytic derivatives)."""
+    s1, s1p, s1pp = _smooth_step((r - _ETA_DELTA) / _ETA_RISE)
+    s2, s2p, s2pp = _smooth_step((np.pi - _ETA_DELTA - r) / _ETA_FALL)
+    eta = s1 * s2
+    etap = s1p / _ETA_RISE * s2 - s1 * s2p / _ETA_FALL
+    etapp = (s1pp / _ETA_RISE ** 2 * s2
+             - 2.0 * s1p * s2p / (_ETA_RISE * _ETA_FALL)
+             + s1 * s2pp / _ETA_FALL ** 2)
+    return eta, etap, etapp
 
 
 @dataclass
@@ -194,7 +177,6 @@ class InstabilityAssembly:
     phi: ScalarField
     W: OneFormField
     C: SystemCoefficients
-    eta_params: EtaParams
 
     @property
     def geometry(self):
@@ -214,16 +196,12 @@ class InstabilityReport:
     stability_margin: float
 
 
-def assemble(lam, eta_params: EtaParams = None, geometry: SphereRadial = None):
+def assemble(lam, geometry: SphereRadial = None):
     """Build the S^3 blow-up family member at the given lam, 1 < lam < inf;
     ``phi_bubble_sphere`` rejects any other lam before ``solve_Z`` runs."""
-    eta_params = eta_params or EtaParams()
     g = geometry or SphereRadial(4096)
     r = g.r
-    eta, etap, etapp = eta_params.evaluate(r)
-    if np.max(np.abs(eta)) == 0.0:
-        raise ValueError("cutoff vanishes identically")
-
+    eta, etap, etapp = _cutoff(r)
     phi = ScalarField(g, phi_bubble_sphere(3, lam, r))
     Z, Zp = solve_Z(lam, r)
     W = OneFormField(g, eta * Z)
@@ -235,8 +213,7 @@ def assemble(lam, eta_params: EtaParams = None, geometry: SphereRadial = None):
         Y=OneFormField(g, -(4.0 / 3.0) * (2.0 * etap * Zp + etapp * Z
                                           + 2.0 * g.cot_r * etap * Z)),
         gamma=1.0)
-    return InstabilityAssembly(lam=lam, phi=phi, W=W, C=C,
-                               eta_params=eta_params)
+    return InstabilityAssembly(lam=lam, phi=phi, W=W, C=C)
 
 
 def verify(assembly: InstabilityAssembly):

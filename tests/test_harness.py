@@ -574,12 +574,19 @@ VERIFY_ROW_NAMES = """energy_identity bubble_residual constants_c6
 
 
 class TestOutputs:
-    def test_csv_round_trip_floats(self, tmp_path):
-        rows = [{"a": 0.1 + 0.2, "b": True, "c": 7}]
+    @pytest.mark.parametrize("row", [
+        {"a": 0.1 + 0.2, "b": True, "c": 7},
+        # NumPy 2 reprs a float64 as np.float64(0.3...), and its bool is no
+        # Python bool; run_instability_demo's lam is a NumPy float when the
+        # lambdas come as an array
+        {"a": np.float64(0.1 + 0.2), "b": np.bool_(True), "c": np.int64(7)},
+    ])
+    def test_csv_round_trip_floats(self, tmp_path, row):
         path = tmp_path / "t.csv"
-        write_csv(str(path), rows)
+        write_csv(str(path), [row])
         header, line = path.read_text().strip().split("\n")
         assert header == "a,b,c"
+        assert line == "0.30000000000000004,true,7"
         val = line.split(",")[0]
         assert float(val) == 0.1 + 0.2        # exact round trip
 
@@ -681,8 +688,10 @@ class TestOutputs:
             "[geometry]\nresolution = 8\n[data]\n[schedule]\n"
             "alphas = -1100 1 2\n")
         assert cli_main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("lichlab: error: ") and err.count("\n") == 1
+        # rejected before any work: no row of a run that cannot pass
+        assert out == ""
 
     def test_cli_sweep_exits_1_on_an_unconverged_row(self, tmp_path,
                                                     monkeypatch):

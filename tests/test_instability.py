@@ -6,13 +6,15 @@ from scipy.integrate import cumulative_simpson
 
 from lichlab.geometry import (
     GeometryMismatch,
+    OneFormField,
     ScalarField,
     SphereRadial,
     conformal_killing_deriv,
 )
 from lichlab.harness import check_instability
 from lichlab.instability import (
-    EtaParams,
+    _ETA_DELTA,
+    _smooth_step,
     assemble,
     phi_bubble_sphere,
     solve_Z,
@@ -143,14 +145,10 @@ def asm():
 
 
 class TestAssembly:
-    def test_zero_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            EtaParams(delta=1.5, rise=0.2, fall=0.2)    # empty plateau
-
     def test_support_constraints(self, asm):
         g = asm.geometry
-        inside = g.r < asm.eta_params.delta
-        outside = g.r > np.pi - asm.eta_params.delta
+        inside = g.r < _ETA_DELTA
+        outside = g.r > np.pi - _ETA_DELTA
         assert np.all(asm.W.values[inside] == 0.0)
         assert np.all(asm.W.values[outside] == 0.0)
 
@@ -163,16 +161,18 @@ class TestAssembly:
         assert np.max(np.abs(tensor_trace(asm.C.U))) < 1e-12
 
     def test_killing_rr_component_at_equator(self):
-        # with a ramp crossing pi/2 the rr-component there is
+        # with a cutoff that rises on [0.8, 1.8], across pi/2, and falls on
+        # [pi - 1.1, pi - 0.8], the rr-component of L(eta Z d/dr) at pi/2 is
         # (4/3) eta'(pi/2), using Z(pi/2) = 1, Z'(pi/2) = 0
-        params = EtaParams(delta=0.8, rise=1.0, fall=0.3)
         g = SphereRadial(4096)
-        asm = assemble(1.25, params, g)
-        LW = conformal_killing_deriv(asm.W)
+        s1, s1p, _ = _smooth_step(g.r - 0.8)
+        s2, s2p, _ = _smooth_step((np.pi - 0.8 - g.r) / 0.3)
+        etap = s1p * s2 - s1 * s2p / 0.3
+        Z, _ = solve_Z(1.25, g.r)
+        LW = conformal_killing_deriv(OneFormField(g, s1 * s2 * Z))
         mid = np.argmin(np.abs(g.r - np.pi / 2))
-        _, etap, _ = params.evaluate(np.array([g.r[mid]]))
-        assert etap[0] != 0.0
-        assert LW.values[0][mid] == pytest.approx((4.0 / 3.0) * etap[0],
+        assert etap[mid] != 0.0
+        assert LW.values[0][mid] == pytest.approx((4.0 / 3.0) * etap[mid],
                                                   rel=5e-3)
 
 

@@ -1,11 +1,14 @@
 """Repository settings: the pytest settings and dependency floors in
 pyproject.toml, no unused imports in the package, its tests and its demos,
 no stale ``__all__`` entry in the package and none that only tests read,
-every function and field class the benchmark tracer wraps still in the
-package under its name, and the three quick demos run without a warning."""
+no defaulted option of a public name that only tests set, every function
+and field class the benchmark tracer wraps still in the package under its
+name, and the three quick demos run without a warning."""
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -121,23 +124,97 @@ def load_tracing():
     return tracing
 
 
-def test_every_public_name_has_a_reader():
-    # a reader is code in src/, demos/ or perfbench/ outside a test, or the
-    # benchmark tracer, which wraps its PACKAGE_TARGETS by name; a name only
-    # tests read belongs in the test that reads it
+def reader_paths():
+    """The code in src/, demos/ and perfbench/ outside a test."""
     readers = [p for d in ("src", "demos", "perfbench")
                for p in sorted((ROOT / d).rglob("*.py"))
                if "tests" not in p.relative_to(ROOT).parts]
     assert len(readers) > 15
-    read = set().union(*map(read_names, readers))
-    read.update(*load_tracing().PACKAGE_TARGETS.values())
-    unread = []
+    return readers
+
+
+def public_names():
+    """(qualified name, object) of every entry of a package ``__all__``."""
     for path in sorted((ROOT / "src" / "lichlab").glob("*.py")):
         name = "lichlab" if path.stem == "__init__" else f"lichlab.{path.stem}"
         mod = importlib.import_module(name)
-        unread += [f"{name}.{entry}" for entry in getattr(mod, "__all__", ())
-                   if entry not in read]
+        for entry in getattr(mod, "__all__", ()):
+            yield f"{name}.{entry}", getattr(mod, entry, None)
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is code in src/, demos/ or perfbench/ outside a test, or the
+    # benchmark tracer, which wraps its PACKAGE_TARGETS by name; a name only
+    # tests read belongs in the test that reads it
+    read = set().union(*map(read_names, reader_paths()))
+    read.update(*load_tracing().PACKAGE_TARGETS.values())
+    unread = [name for name, _ in public_names()
+              if name.rsplit(".", 1)[1] not in read]
     assert not unread, unread
+
+
+def defaulted_options(obj):
+    """(name, position) of each defaulted parameter of a function or field
+    of a dataclass; position is the index of the positional argument that
+    sets it, None for a keyword-only parameter."""
+    if dataclasses.is_dataclass(obj):
+        init = [f for f in dataclasses.fields(obj) if f.init]
+        return [(f.name, i) for i, f in enumerate(init)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING]
+    if not inspect.isfunction(obj):
+        return []
+    positional = (inspect.Parameter.POSITIONAL_ONLY,
+                  inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return [(p.name, i if p.kind in positional else None)
+            for i, p in enumerate(inspect.signature(obj).parameters.values())
+            if p.default is not p.empty]
+
+
+def calls_by_callee(paths):
+    """Every call in the files, keyed by the bare or attribute name called."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = (getattr(node.func, "id", None)
+                          or getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    return calls
+
+
+# defaulted options that no code outside tests/ sets, each kept for its
+# reason
+KEPT_OPTIONS = {
+    "lichlab.green.killing_basis.rule":
+        "the n = 4 test needs a rule smaller than the default's 2.6 M nodes",
+    "lichlab.geometry.SphereRadial.eps":
+        "test_volume_tends_to_round_s3 runs a convergence study as eps -> 0",
+    "lichlab.solver.solve_scalar.guess":
+        "solve_scalar is kept only as a benchmark tracer target",
+    "lichlab.cli.main.argv":
+        "the tests run the command line in-process through it",
+}
+
+
+def test_every_option_is_set_outside_the_tests():
+    # a defaulted parameter or dataclass field that only tests set is a
+    # second code path only they drive: it goes, and the one value the
+    # package uses is written in its place.  A call sets an option if it
+    # passes it by position or by keyword, or passes a **mapping.
+    calls = calls_by_callee(reader_paths())
+
+    def sets(call, option, position):
+        return (any(k.arg in (option, None) for k in call.keywords)
+                or position is not None and len(call.args) > position)
+
+    unset = {f"{name}.{option}" for name, obj in public_names()
+             for option, position in defaulted_options(obj)
+             if not any(sets(call, option, position)
+                        for call in calls.get(name.rsplit(".", 1)[1], ()))}
+    assert unset == set(KEPT_OPTIONS), (
+        f"set only by tests: {sorted(unset - set(KEPT_OPTIONS))}; "
+        f"kept, but now set or gone: {sorted(set(KEPT_OPTIONS) - unset)}")
 
 
 def test_every_traced_name_resolves():
