@@ -169,6 +169,7 @@ class TestPohozaev:
         [np.nan, 0.0, 0.0],
         [np.inf, 0.0, 0.0],
         [0.0, 0.0],
+        [[0.0, 0.0, 0.0]],
     ])
     def test_center_must_be_a_finite_point(self, center):
         # a NaN center passed the ball-fits check and gave an all-NaN

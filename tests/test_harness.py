@@ -481,6 +481,18 @@ class TestInstabilityDemo:
         with pytest.raises(ValueError, match="distinct"):
             run_instability_demo((1.5, 1.5), resolution=1024)
 
+    @pytest.mark.parametrize("lambdas", [(), (1.5,)])
+    def test_fewer_than_two_lambdas_rejected_before_assembly(
+            self, monkeypatch, lambdas):
+        # check_instability compares consecutive members, so the family is
+        # rejected before any member is assembled
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled a member of a rejected family")
+
+        monkeypatch.setattr("lichlab.instability.assemble", no_assembly)
+        with pytest.raises(ValueError, match="at least two, got"):
+            run_instability_demo(lambdas, resolution=1024)
+
     @pytest.mark.parametrize("lam", [1.0, np.nan, np.inf])
     def test_lambda_outside_the_family_rejected(self, lam):
         with pytest.raises(ValueError, match="finite and exceed 1"):

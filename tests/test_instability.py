@@ -14,6 +14,9 @@ from lichlab.geometry import (
 from lichlab.harness import check_instability
 from lichlab.instability import (
     _ETA_DELTA,
+    _ETA_FALL,
+    _ETA_RISE,
+    _cutoff,
     _smooth_step,
     assemble,
     phi_bubble_sphere,
@@ -159,6 +162,30 @@ class TestAssembly:
     def test_U_traceless(self, asm):
         from lichlab.geometry import tensor_trace
         assert np.max(np.abs(tensor_trace(asm.C.U))) < 1e-12
+
+    def test_cutoff_vanishes_off_its_support_and_has_a_plateau(self):
+        # eta = 0 on [0, delta] and [pi - delta, pi], eta = 1 on the plateau
+        # [delta + rise, pi - delta - fall], which holds the equator: an
+        # empty plateau would leave W = eta Z nowhere equal to Z
+        lo, hi = _ETA_DELTA + _ETA_RISE, np.pi - _ETA_DELTA - _ETA_FALL
+        assert lo < np.pi / 2 < hi
+        off = np.concatenate([np.linspace(0.0, _ETA_DELTA, 50),
+                              np.linspace(np.pi - _ETA_DELTA, np.pi, 50)])
+        on = np.linspace(lo, hi, 50)
+        for r, value in ((off, 0.0), (on, 1.0)):
+            eta, etap, etapp = _cutoff(r)
+            assert np.all(eta == value)
+            assert np.all(etap == 0.0) and np.all(etapp == 0.0)
+        eta, _, _ = _cutoff(np.linspace(0.0, np.pi, 2001))
+        assert np.all((eta >= 0.0) & (eta <= 1.0))
+
+    def test_cutoff_derivatives_match_central_differences(self):
+        r = np.linspace(0.0, np.pi, 200001)
+        h = r[1] - r[0]
+        eta, etap, etapp = _cutoff(r)
+        for f, df in ((eta, etap), (etap, etapp)):
+            fd = (f[2:] - f[:-2]) / (2.0 * h)
+            assert np.max(np.abs(fd - df[1:-1])) < 1e-6 * np.max(np.abs(df))
 
     def test_killing_rr_component_at_equator(self):
         # with a cutoff that rises on [0.8, 1.8], across pi/2, and falls on
